@@ -1,15 +1,28 @@
 """Arrowing decisions: does every red/blue edge coloring of F contain a red
 copy of G or a blue copy of H?
 
-The decision procedure is a depth-first search over the edges of F in a
-fixed order (descending endpoint degree sum), trying red then blue, and
-pruning a branch as soon as the partial color class contains its target.
-The containment check after coloring edge (u,v) only looks for copies
-through (u,v), since earlier partial classes were already copy-free.
+The decision works on the copy hypergraph of F. Every copy of G and of H
+in F is listed once, as a bitmask over the edges of F in a fixed order
+(descending endpoint degree sum); isolated pattern vertices only ask F for
+enough vertices. A coloring is good exactly when every G-copy has a blue
+edge and every H-copy has a red edge. If F has no G-copy the all-red
+coloring is good, and if it has no H-copy the all-blue one is; both exits
+come before any per-edge bookkeeping.
 
-Outcomes are three-valued: a witness coloring (no arrowing), an exhausted
-search (arrowing proven), or an explicit unknown when the node budget runs
-out. A budget hit is never silently reported as a verdict.
+Otherwise an explicit-stack search colors the lowest free edge red, then
+blue, with unit propagation: a G-copy with no blue edge and one uncolored
+edge left forces that edge blue, an H-copy with no red edge and one
+uncolored edge left forces it red, and a G-copy gone all red or an H-copy
+gone all blue is a conflict that backtracks. Edges in no copy never take a
+decision and end red. When G and H have the same copies in F (in
+particular when G and H are isomorphic) the good colorings are closed under
+swapping the colors, so the first decision is red only.
+
+`nodes` counts the copies listed plus the color decisions tried; forced
+colors are free. Outcomes are three-valued: a witness coloring (no
+arrowing), an exhausted search (arrowing proven), or an explicit unknown
+when the work would pass the node budget. A budget hit is never silently
+reported as a verdict.
 """
 
 from __future__ import annotations
@@ -18,25 +31,23 @@ import os
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import product
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from .canon import certificate
-from .graphs import Graph
+from .graphs import DEFAULT_VERTEX_CAP, Graph, VertexCapError
 
 RED = "red"
 BLUE = "blue"
 
 DEFAULT_NODE_BUDGET = int(os.environ.get("RAMSEYKIT_NODE_BUDGET", 10**8))
 
+# Copy lists are held in memory; a pattern with more copies than this in F
+# ends the search as unknown, whatever the node budget.
+MAX_COPIES = 10**6
+
 
 class UnknownVerdictError(RuntimeError):
     """An operation needed a definite sub-verdict but the search budget ran
     out before one was reached."""
-
-
-class _BudgetHit(Exception):
-    pass
 
 
 # ---------------------------------------------------------------------------
@@ -108,47 +119,98 @@ def contains_copy(host: Graph, pattern: Graph) -> Optional[Dict[int, int]]:
     return None
 
 
+# ---------------------------------------------------------------------------
+# Copy enumeration
+
+
+def _embeddings(adj, n, anchors, need, above, prefix, limit) -> List[tuple]:
+    """Every completion of the partial map `prefix` (pattern position ->
+    host vertex) to an injective map where position i goes to a vertex of
+    degree >= need[i] adjacent to the images of anchors[i] and above the
+    images of above[i]. Stops after limit + 1 completions."""
+    k = len(need)
+    start = len(prefix)
+    img = list(prefix) + [0] * (k - start)
+    if start == k:
+        return [tuple(img)]
+    degs = [row.bit_count() for row in adj]
+    fit = {d: sum(1 << v for v in range(n) if degs[v] >= d) for d in set(need[start:])}
+    fit = [fit.get(d, 0) for d in need]  # vertices of enough degree, per position
+    used = [0] * (k + 1)  # used[i]: images of positions before i
+    for h in prefix:
+        used[start] |= 1 << h
+    cands = [0] * k
+    found = []
+    last = k - 1
+    i = start
+    while True:
+        c = fit[i] & ~used[i]
+        for j in anchors[i]:
+            c &= adj[img[j]]
+        for j in above[i]:
+            c &= -2 << img[j]
+        if i == last:
+            # every candidate completes an embedding
+            while c:
+                low = c & -c
+                c ^= low
+                img[i] = low.bit_length() - 1
+                found.append(tuple(img))
+                if len(found) > limit:
+                    return found
+            i -= 1
+        else:
+            cands[i] = c
+        while i >= start and not cands[i]:
+            i -= 1
+        if i < start:
+            return found
+        c = cands[i]
+        low = c & -c
+        cands[i] = c ^ low
+        img[i] = low.bit_length() - 1
+        used[i + 1] = used[i] | low
+        i += 1
+
+
 @lru_cache(maxsize=4096)
-def _anchored_plans(pattern: Graph):
-    """For each oriented pattern edge, a visit order starting with that
-    edge's endpoints; used to find copies through a specific host edge."""
-    plans = []
-    for a, b in pattern.edges():
-        for pa, pb in ((a, b), (b, a)):
-            order = [pa, pb]
-            placed = {pa, pb}
-            rest = [v for v in range(pattern.n) if v not in placed]
-            while rest:
-                nxt = max(
-                    rest,
-                    key=lambda v: (sum(1 for w in pattern.neighbors(v) if w in placed), pattern.degree(v)),
-                )
-                order.append(nxt)
-                placed.add(nxt)
-                rest.remove(nxt)
-            prev_nbrs = []
-            seen = []
-            for v in order:
-                prev_nbrs.append(tuple(w for w in seen if pattern.has_edge(v, w)))
-                seen.append(v)
-            plans.append((tuple(order), tuple(prev_nbrs)))
-    degs = tuple(pattern.degree(v) for v in range(pattern.n))
-    return tuple(plans), degs
+def _copy_plan(pattern: Graph):
+    """Plan that lists each copy of the pattern's non-isolated part exactly
+    once. Positions follow `_pattern_plan`'s visit order; for each position
+    the plan gives its earlier neighbors (anchors), its degree, and the
+    earlier positions whose image must be smaller. Those ordering conditions
+    come from the stabilizer chain of Aut(pattern): for each position i,
+    the image of i is below the image of every other vertex in the orbit of
+    i under the automorphisms fixing positions 0..i-1 (Grochow-Kellis,
+    RECOMB 2007). Each copy then has exactly one admitted embedding, and
+    Aut(pattern) is never listed. Also returns the pattern edges as
+    position pairs."""
+    core = pattern.without_isolated()
+    order = _pattern_plan(core)[0]
+    core = core.relabel([order.index(v) for v in range(core.n)])  # vertex = position
+    k = core.n
+    anchors = tuple(tuple(j for j in range(i) if core.has_edge(i, j)) for i in range(k))
+    need = tuple(core.degree(i) for i in range(k))
+    no_order = ((),) * k
+    above: List[list] = [[] for _ in range(k)]
+    for i in range(k):
+        for w in range(i + 1, k):
+            if need[w] != need[i] or not all(core.has_edge(j, w) for j in anchors[i]):
+                continue
+            # an automorphism fixing 0..i-1 and sending i to w?
+            if _embeddings(core.adj, k, anchors, need, no_order, tuple(range(i)) + (w,), 0):
+                above[w].append(i)
+    return anchors, need, tuple(tuple(a) for a in above), tuple(core.edges())
 
 
-def _contains_through_edge(hadj, hn, pattern: Graph, u, v) -> bool:
-    """Is there a copy of the pattern whose image uses host edge (u,v)?"""
-    plans, degs = _anchored_plans(pattern)
-    du = hadj[u].bit_count()
-    dv = hadj[v].bit_count()
-    for order, prev_nbrs in plans:
-        pa, pb = order[0], order[1]
-        if degs[pa] > du or degs[pb] > dv:
-            continue
-        mapping = {pa: u, pb: v}
-        if _extend(hadj, hn, order, prev_nbrs, degs, mapping, (1 << u) | (1 << v), 2):
-            return True
-    return False
+def _copies(F: Graph, pattern: Graph, limit: int) -> List[tuple]:
+    """Vertex images (in plan position order) of the copies of `pattern`
+    in F, one per copy; limit + 1 of them means there are more than
+    `limit`."""
+    if pattern.n > F.n:
+        return []
+    anchors, need, above, _ = _copy_plan(pattern)
+    return _embeddings(F.adj, F.n, anchors, need, above, (), limit)
 
 
 # ---------------------------------------------------------------------------
@@ -199,58 +261,147 @@ def _check_targets(G: Graph, H: Graph):
         raise ValueError("target graphs must have at least one edge")
 
 
+def _check_search(F: Graph, budget: int):
+    if budget < 1:
+        raise ValueError(f"node budget must be at least 1, got {budget}")
+    if F.n > DEFAULT_VERTEX_CAP:
+        used = sum(1 for row in F.adj if row)
+        if used > DEFAULT_VERTEX_CAP:
+            raise VertexCapError(
+                f"host has {used} non-isolated vertices, over the cap {DEFAULT_VERTEX_CAP}"
+            )
+
+
+def _monochrome(F: Graph, color: str) -> EdgeColoring:
+    return EdgeColoring(F, dict.fromkeys(F.edges(), color))
+
+
+def _propagate(red, blue, queue, g_through, h_through):
+    """Apply the colors just given to the edges in `queue` and every color
+    they force. Returns the new (red, blue) masks, or None on a conflict."""
+    while queue:
+        e = queue.pop()
+        if red >> e & 1:
+            for c in g_through[e]:
+                if not c & blue:
+                    rest = c & ~red
+                    if not rest:
+                        return None
+                    if not rest & (rest - 1):
+                        blue |= rest
+                        queue.append(rest.bit_length() - 1)
+        else:
+            for c in h_through[e]:
+                if not c & red:
+                    rest = c & ~blue
+                    if not rest:
+                        return None
+                    if not rest & (rest - 1):
+                        red |= rest
+                        queue.append(rest.bit_length() - 1)
+    return red, blue
+
+
 def find_good_coloring(
     F: Graph,
     G: Graph,
     H: Graph,
     budget: int = DEFAULT_NODE_BUDGET,
-    symmetry: Optional[bool] = None,
 ) -> FindResult:
-    """Search for a total coloring of F with no red G and no blue H.
+    """Search for a total coloring of F with no red G and no blue H, by unit
+    propagation over the copies of G and H in F (see the module notes).
 
-    When G and H are isomorphic the first edge's color may be fixed
-    (color-swap symmetry); this is on by default exactly in that case.
-    """
+    Raises ValueError on a budget below 1 and VertexCapError when F has
+    more than DEFAULT_VERTEX_CAP non-isolated vertices."""
     _check_targets(G, H)
-    n = F.n
-    edges = sorted(F.edges(), key=lambda e: -(F.degree(e[0]) + F.degree(e[1])))
+    _check_search(F, budget)
+    limit = min(budget, MAX_COPIES)
+    g_imgs = _copies(F, G, limit)
+    if not g_imgs:
+        return FindResult(_monochrome(F, RED), False, 0)
+    if len(g_imgs) > limit:
+        # Too many G-copies to list; only a missing H-copy still decides.
+        if _copies(F, H, 0):
+            return FindResult(None, False, limit)
+        return FindResult(_monochrome(F, BLUE), False, limit)
+    nodes = len(g_imgs)
+    if H == G:
+        h_imgs = g_imgs
+    else:
+        limit = min(budget - nodes, MAX_COPIES)
+        h_imgs = _copies(F, H, limit)
+        if not h_imgs:
+            return FindResult(_monochrome(F, BLUE), False, nodes)
+        if len(h_imgs) > limit:
+            return FindResult(None, False, nodes + limit)
+        nodes += len(h_imgs)
+
+    degs = [row.bit_count() for row in F.adj]
+    edges = sorted(F.edges(), key=lambda e: -(degs[e[0]] + degs[e[1]]))
+    bit = {}
+    for i, (u, v) in enumerate(edges):
+        bit[u, v] = bit[v, u] = 1 << i
+
+    def masks(imgs, pattern):
+        pedges = _copy_plan(pattern)[3]
+        return [sum(bit[img[a], img[b]] for a, b in pedges) for img in imgs]
+
+    g_masks = masks(g_imgs, G)
+    h_masks = g_masks if h_imgs is g_imgs else masks(h_imgs, H)
+    swap = h_masks is g_masks or (len(g_masks) == len(h_masks) and set(g_masks) == set(h_masks))
+
     m = len(edges)
-    if symmetry is None:
-        symmetry = certificate(G) == certificate(H)
-    red = [0] * n
-    blue = [0] * n
-    assign = [None] * m
-    nodes = 0
+    g_through: List[list] = [[] for _ in range(m)]
+    h_through: List[list] = [[] for _ in range(m)]
+    live = red = blue = 0
+    for copies, through in ((g_masks, g_through), (h_masks, h_through)):
+        for c in copies:
+            live |= c
+            rest = c
+            while rest:
+                low = rest & -rest
+                through[low.bit_length() - 1].append(c)
+                rest ^= low
+    # single-edge copies force their edge at the root
+    for c in g_masks:
+        if not c & (c - 1):
+            blue |= c
+    for c in h_masks:
+        if not c & (c - 1):
+            red |= c
+    state = None
+    if not red & blue:
+        forced = red | blue
+        state = _propagate(red, blue, [e for e in range(m) if forced >> e & 1], g_through, h_through)
+    if state is None:
+        return FindResult(None, True, nodes)
+    red, blue = state
 
-    def dfs(i):
-        nonlocal nodes
-        if i == m:
-            return True
-        u, v = edges[i]
-        choices = (RED,) if (symmetry and i == 0) else (RED, BLUE)
-        for color in choices:
+    stack = []  # (red, blue, edge) of each red decision whose blue branch is open
+    first = True
+    while True:
+        free = live & ~(red | blue)
+        if not free:
+            break
+        if nodes >= budget:
+            return FindResult(None, False, nodes)
+        nodes += 1
+        e = (free & -free).bit_length() - 1
+        if not (first and swap):
+            stack.append((red, blue, e))
+        first = False
+        state = _propagate(red | 1 << e, blue, [e], g_through, h_through)
+        while state is None:
+            if not stack:
+                return FindResult(None, True, nodes)
+            if nodes >= budget:
+                return FindResult(None, False, nodes)
             nodes += 1
-            if nodes > budget:
-                raise _BudgetHit
-            cls, pat = (red, G) if color == RED else (blue, H)
-            cls[u] |= 1 << v
-            cls[v] |= 1 << u
-            if not _contains_through_edge(cls, n, pat, u, v):
-                assign[i] = color
-                if dfs(i + 1):
-                    return True
-            cls[u] &= ~(1 << v)
-            cls[v] &= ~(1 << u)
-        return False
-
-    try:
-        found = dfs(0)
-    except _BudgetHit:
-        return FindResult(None, exhausted=False, nodes=nodes)
-    if found:
-        coloring = EdgeColoring(F, {edges[i]: assign[i] for i in range(m)})
-        return FindResult(coloring, exhausted=False, nodes=nodes)
-    return FindResult(None, exhausted=True, nodes=nodes)
+            red, blue, e = stack.pop()
+            state = _propagate(red, blue | 1 << e, [e], g_through, h_through)
+        red, blue = state
+    coloring = EdgeColoring(F, {edges[i]: BLUE if blue >> i & 1 else RED for i in range(m)})
+    return FindResult(coloring, False, nodes)
 
 
 def arrows(F: Graph, G: Graph, H: Graph, budget: int = DEFAULT_NODE_BUDGET) -> ArrowVerdict:
@@ -270,7 +421,7 @@ def arrows(F: Graph, G: Graph, H: Graph, budget: int = DEFAULT_NODE_BUDGET) -> A
 
 def naive_arrows(F: Graph, G: Graph, H: Graph) -> bool:
     """Reference oracle: enumerate all 2^|E(F)| total colorings with no
-    pruning; used to cross-check the DFS."""
+    pruning and no copy lists; used to cross-check the search."""
     _check_targets(G, H)
     F = F.without_isolated()
     n = F.n
@@ -302,7 +453,8 @@ class MinimalityReport:
 def is_ramsey_minimal(
     F: Graph, G: Graph, H: Graph, budget: int = DEFAULT_NODE_BUDGET
 ) -> MinimalityReport:
-    """F arrows (G,H) and every single-edge deletion stops arrowing."""
+    """F arrows (G,H) and every single-edge deletion stops arrowing. Raises
+    like `arrows` on a budget below 1 or a host over the vertex cap."""
     F = F.without_isolated()
     top = arrows(F, G, H, budget=budget)
     if top.arrows is None:

@@ -37,6 +37,16 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def parse_graph_argument(text: str) -> Graph:
     try:
         return build_from_text(text)
@@ -180,11 +190,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET,
-                       help="node budget per arrowing search")
+        p.add_argument("--budget", type=_positive_int, default=DEFAULT_NODE_BUDGET,
+                       help="node budget per arrowing search (at least 1)")
         p.add_argument("--format", choices=["json", "text"], default="json")
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker cap (current implementation is single-process)")
 
     p = sub.add_parser("arrow", help="decide F -> (G,H)")
     p.add_argument("F")

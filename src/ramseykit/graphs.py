@@ -49,6 +49,15 @@ class Graph:
                 if not (self.adj[v] >> u) & 1:
                     raise ValueError(f"adjacency not symmetric at ({u},{v})")
 
+    @classmethod
+    def _trusted(cls, n: int, adj: tuple) -> "Graph":
+        """Build without validation; only for results derived from a valid
+        Graph, which are valid by construction."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "n", n)
+        object.__setattr__(g, "adj", adj)
+        return g
+
     @staticmethod
     def from_edges(n: int, edges, cap: int = DEFAULT_VERTEX_CAP) -> "Graph":
         if n > cap:
@@ -109,7 +118,7 @@ class Graph:
         adj = list(self.adj)
         adj[u] |= 1 << v
         adj[v] |= 1 << u
-        return Graph(self.n, tuple(adj))
+        return Graph._trusted(self.n, tuple(adj))
 
     def delete_edge(self, u: int, v: int) -> "Graph":
         """Remove one edge; the vertex set (including any newly isolated
@@ -119,7 +128,7 @@ class Graph:
         adj = list(self.adj)
         adj[u] &= ~(1 << v)
         adj[v] &= ~(1 << u)
-        return Graph(self.n, tuple(adj))
+        return Graph._trusted(self.n, tuple(adj))
 
     def relabel(self, perm) -> "Graph":
         """Apply a permutation (old label -> new label)."""
@@ -130,36 +139,35 @@ class Graph:
             a, b = perm[u], perm[v]
             adj[a] |= 1 << b
             adj[b] |= 1 << a
-        return Graph(self.n, tuple(adj))
+        return Graph._trusted(self.n, tuple(adj))
 
     def induced(self, vertices) -> "Graph":
         """Induced subgraph on the given vertices, relabeled 0..k-1 in
         ascending original order."""
         vs = sorted(set(vertices))
-        pos = {v: i for i, v in enumerate(vs)}
-        adj = [0] * len(vs)
-        for v in vs:
-            row = self.adj[v]
-            while row:
-                u = (row & -row).bit_length() - 1
-                row &= row - 1
-                if u in pos:
-                    adj[pos[v]] |= 1 << pos[u]
-        return Graph(len(vs), tuple(adj))
+        kept = set(vs)
+        rows = [self.adj[v] for v in vs]
+        for r in range(self.n - 1, -1, -1):
+            if r not in kept:  # drop bit r, shifting the higher bits down
+                low = (1 << r) - 1
+                rows = [(row & low) | (row >> 1 & ~low) for row in rows]
+        return Graph._trusted(len(rows), tuple(rows))
 
     def disjoint_union(self, other: "Graph", cap: int = DEFAULT_VERTEX_CAP) -> "Graph":
         n = self.n + other.n
         if n > cap:
             raise VertexCapError(f"{n} vertices exceeds cap {cap}")
         adj = list(self.adj) + [row << self.n for row in other.adj]
-        return Graph(n, tuple(adj))
+        return Graph._trusted(n, tuple(adj))
 
     def isolated_vertices(self) -> list:
         return [v for v in range(self.n) if not self.adj[v]]
 
     def without_isolated(self) -> "Graph":
+        """Induced subgraph on the non-isolated vertices; the graph itself
+        when it has none."""
         keep = [v for v in range(self.n) if self.adj[v]]
-        return self.induced(keep)
+        return self if len(keep) == self.n else self.induced(keep)
 
     def connected_components(self) -> list:
         """Vertex sets of components, each a sorted list."""

@@ -3,6 +3,7 @@ from itertools import product
 import pytest
 
 from ramseykit import (
+    Graph,
     SearchBounds,
     arrows,
     build_from_text,
@@ -15,6 +16,7 @@ from ramseykit import (
     ramsey_number_complete,
 )
 from ramseykit.arrowing import UnknownVerdictError
+from ramseykit.graphs import VertexCapError
 
 b = build_from_text
 
@@ -146,3 +148,59 @@ def test_ramsey_number_absent_within_cap():
 def test_ramsey_number_unknown_propagates():
     with pytest.raises(UnknownVerdictError):
         ramsey_number_complete(b("K3"), b("K3"), 8, budget=3)
+
+
+def test_small_ramsey_numbers_from_the_survey():
+    # Radziszowski, Small Ramsey Numbers (EJC DS1): R(3,4)=9, R(C4,C4)=6, R(K3,C4)=7
+    assert ramsey_number_complete(b("K3"), b("K4"), 9) == 9
+    assert ramsey_number_complete(b("C4"), b("C4"), 8) == 6
+    assert ramsey_number_complete(b("K3"), b("C4"), 8) == 7
+
+
+@pytest.mark.parametrize("gname,hname", [("C4", "K3"), ("P4", "K3"), ("K3+K2", "P3"), ("S3", "C4")])
+def test_propagation_agrees_with_naive(gname, hname):
+    G, H = b(gname), b(hname)
+    for F in enumerate_graphs(SearchBounds(8, 8)):
+        assert arrows(F, G, H).arrows == naive_arrows(F, G, H), F.edges()
+
+
+@pytest.mark.parametrize("gname,hname", [("K3+K2", "P3"), ("2K2", "K3"), ("P3", "C4")])
+def test_propagation_agrees_with_naive_on_arrowing_hosts(gname, hname):
+    # 9-10 edge hosts, where many of these pairs arrow and the search must exhaust
+    G, H = b(gname), b(hname)
+    hosts = [F for F in enumerate_graphs(SearchBounds(6, 10)) if F.edge_count >= 9]
+    verdicts = [arrows(F, G, H).arrows for F in hosts]
+    assert True in verdicts and False in verdicts
+    assert verdicts == [naive_arrows(F, G, H) for F in hosts]
+
+
+def test_too_many_copies_is_unknown_within_budget():
+    # 8K2 has about 10^10 copies in K20: listing them would exhaust memory
+    v = arrows(Graph.complete(20), b("8K2"), b("K3"), budget=10**5)
+    assert v.arrows is None
+    assert v.witness is None
+    assert v.nodes <= 10**5
+
+
+def test_missing_h_copy_decides_despite_too_many_g_copies():
+    F = Graph.from_edges(12, [(u, v) for u in range(6) for v in range(6, 12)])
+    v = arrows(F, b("3K2"), b("K3"), budget=100)
+    assert v.arrows is False
+    assert v.witness.is_good(b("3K2"), b("K3"))
+
+
+def test_nonpositive_budget_is_rejected():
+    for budget in (0, -1):
+        with pytest.raises(ValueError):
+            arrows(b("K6"), b("K3"), b("K3"), budget=budget)
+        with pytest.raises(ValueError):
+            find_good_coloring(b("K6"), b("K3"), b("K3"), budget=budget)
+
+
+def test_host_vertex_cap_is_enforced():
+    F = b("40K2")
+    for call in (arrows, find_good_coloring, is_ramsey_minimal):
+        with pytest.raises(VertexCapError):
+            call(F, b("K2"), b("K2"))
+    # isolated vertices do not count against the cap
+    assert arrows(b("K6").disjoint_union(Graph.empty(70, cap=70), cap=80), b("K3"), b("K3")).arrows is True

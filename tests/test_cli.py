@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from ramseykit import EdgeColoring, Graph, build_from_text, emit_graph6, parse_graph6
 from ramseykit.cli import main, parse_graph_argument
 
 
@@ -118,3 +119,39 @@ def test_text_format(capsys):
     code, out, _ = run_cli(capsys, "classify", "S3", "S3", "--format", "text")
     assert code == 0
     assert "verdict: Finite" in out
+
+
+def _k32_32_graph6():
+    return emit_graph6(Graph.from_edges(64, [(u, v) for u in range(32) for v in range(32, 64)]))
+
+
+def test_arrow_and_minimal_on_k32_32(capsys):
+    # 1024 edges: the search depth must not follow the edge count
+    host = _k32_32_graph6()
+    doc = run_json(capsys, "arrow", host, "K3", "K3")
+    assert doc["arrows"] is False
+    F = parse_graph6(host)
+    coloring = EdgeColoring(F, {tuple(w["edge"]): w["color"] for w in doc["witness"]})
+    assert coloring.is_good(build_from_text("K3"), build_from_text("K3"))
+    doc = run_json(capsys, "minimal", host, "K3", "K3")
+    assert doc["is_ramsey"] is False
+    assert doc["is_minimal"] is False
+
+
+def test_nonpositive_budget_is_a_usage_error(capsys):
+    for budget in ("0", "-5"):
+        code, out, err = run_cli(capsys, "arrow", "K6", "K3", "K3", "--budget", budget)
+        assert code == 1
+        assert out == ""
+        assert "budget" in err
+
+
+def test_host_over_vertex_cap_is_a_usage_error(capsys):
+    code, out, err = run_cli(capsys, "arrow", "40K2", "K2", "K2")
+    assert code == 1
+    assert out == ""
+    assert "cap" in err
+
+
+def test_threads_flag_is_gone(capsys):
+    assert run_cli(capsys, "arrow", "K6", "K3", "K3", "--threads", "2")[0] == 1

@@ -136,3 +136,31 @@ def test_disjoint_union_counts():
     u = a.disjoint_union(b)
     assert (u.n, u.edge_count) == (9, 11)
     assert len(u.connected_components()) == 2
+
+
+@pytest.mark.parametrize(
+    "n,adj",
+    [
+        (2, (0b10, 0b00)),  # asymmetric
+        (2, (0b01, 0b00)),  # self-loop
+        (2, (0b100, 0b000)),  # row mentions a vertex >= n
+        (3, (0b10, 0b01)),  # one row short
+    ],
+)
+def test_malformed_graph_still_raises(n, adj):
+    with pytest.raises(ValueError):
+        Graph(n, adj)
+
+
+def test_derived_graphs_equal_validated_ones():
+    g = build_from_text("C5+P3")
+    for derived in (
+        g.induced([0, 1, 2, 6, 7]),
+        g.relabel(list(reversed(range(g.n)))),
+        g.delete_edge(0, 1),
+        g.add_edge(0, 5),
+        g.disjoint_union(g),
+        g.without_isolated(),
+    ):
+        assert derived == Graph(derived.n, derived.adj)
+        assert hash(derived) == hash(Graph(derived.n, derived.adj))
