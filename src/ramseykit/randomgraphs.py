@@ -20,7 +20,7 @@ from io import StringIO
 from typing import List, Optional, Sequence, Tuple
 
 from .arrowing import DEFAULT_NODE_BUDGET, arrows
-from .density import threshold_p
+from .density import _edge_probability, m2_pair
 from .graphs import Graph
 
 DEFAULT_MAX_N = 24
@@ -104,12 +104,13 @@ def sample_gnp(n: int, p: float, seed: int = 0, sample_index: int = 0) -> Graph:
 def run_experiment(config: ExperimentConfig) -> List[CellResult]:
     """Estimate the arrowing probability on every (n, c) cell; output order
     is fixed by sorting on (n, c) regardless of the input order."""
+    d = m2_pair(config.G, config.H).value
     results = []
     for n in sorted(set(config.n_values)):
         variates = [edge_uniforms(config.seed, n, i) for i in range(config.samples)]
         for c in sorted(set(float(x) for x in config.c_values)):
             t0 = time.perf_counter()
-            p = threshold_p(config.G, config.H, n, Fraction(c))
+            p = _edge_probability(d, n, Fraction(c))
             outcomes = []
             for i in range(config.samples):
                 g = graph_from_uniforms(n, p, variates[i])

@@ -1,14 +1,17 @@
 """Independent oracles for the test suite.
 
-Everything here deliberately avoids the library's canonical-labeling and
-pruned-search code paths: isomorphism by permutation search, isomorphism
-class generation by brute force, and class counting by Burnside's lemma.
+Everything here deliberately avoids the library's canonical-labeling,
+pruned-search and density-profile code paths: isomorphism by permutation
+search, isomorphism class generation by brute force, class counting by
+Burnside's lemma, and density parameters by scoring every vertex subset.
 """
 
+from fractions import Fraction
 from itertools import combinations, permutations
 from math import factorial
 
 from ramseykit import Graph
+from ramseykit.density import DensityValue, PairDensity, _check_size
 
 
 def brute_isomorphic(g: Graph, h: Graph) -> bool:
@@ -91,3 +94,68 @@ def burnside_counts_by_edges(n: int):
     f = factorial(n)
     assert all(t % f == 0 for t in total)
     return [t // f for t in total]
+
+
+def _subset_vertices(mask):
+    out = []
+    while mask:
+        v = (mask & -mask).bit_length() - 1
+        mask &= mask - 1
+        out.append(v)
+    return tuple(out)
+
+
+def max_over_subsets(X: Graph, min_size: int, score):
+    """Maximize score(edge_count, vertex_count) over induced subgraphs with
+    at least min_size vertices. Ties go to the smallest subset, then the
+    lexicographically smallest vertex tuple."""
+    _check_size(X)
+    adj = X.adj
+    best = None
+    best_key = None
+    for mask in range(1, 1 << X.n):
+        v = mask.bit_count()
+        if v < min_size:
+            continue
+        e = 0
+        rest = mask
+        while rest:
+            w = (rest & -rest).bit_length() - 1
+            rest &= rest - 1
+            e += (adj[w] & mask).bit_count()
+        e //= 2
+        val = score(e, v)
+        if val is None:
+            continue
+        vs = _subset_vertices(mask)
+        key = (-val, v, vs)
+        if best_key is None or key < best_key:
+            best_key = key
+            best = DensityValue(val, vs)
+    return best
+
+
+def subset_rho(X: Graph) -> DensityValue:
+    """rho by scoring every vertex subset."""
+    return max_over_subsets(X, 1, lambda e, v: Fraction(e, v))
+
+
+def subset_m2(X: Graph):
+    """m2 by scoring every vertex subset; None when X is acyclic."""
+    if not X.has_cycle():
+        return None
+    return max_over_subsets(X, 3, lambda e, v: Fraction(e - 1, v - 2) if v > 2 else None)
+
+
+def subset_m2_pair(G: Graph, H: Graph) -> PairDensity:
+    """m2(G,H) by scoring every vertex subset of the larger-m2 graph."""
+    m2G = subset_m2(G)
+    m2H = subset_m2(H)
+    swapped = False
+    if m2G.value < m2H.value:
+        G, H = H, G
+        m2G, m2H = m2H, m2G
+        swapped = True
+    inv = Fraction(1, 1) / m2H.value
+    best = max_over_subsets(G, 2, lambda e, v: Fraction(e, 1) / (v - 2 + inv))
+    return PairDensity(best.value, best.witness, swapped)

@@ -59,6 +59,15 @@ def test_density_subcommand(capsys):
     assert doc["m2_pair"] == "2"
 
 
+def test_density_usage_errors(capsys):
+    code, _, err = run_cli(capsys, "density", "30K2")
+    assert code == 1
+    assert "subset enumeration capped at 24 vertices" in err
+    code, _, err = run_cli(capsys, "density", "K3", "--pair", "P4")
+    assert code == 1
+    assert "contain a cycle" in err
+
+
 def test_classify_subcommand(capsys):
     assert run_json(capsys, "classify", "S5+S2", "S3+122K2")["rule"] == "R7"
     assert run_json(capsys, "classify", "S3", "S3")["rule"] == "R5"

@@ -3,8 +3,9 @@ from itertools import combinations
 
 import pytest
 
-from oracles import naive_classes_no_isolated_upto
-from ramseykit import build_from_text, density_report, m2, m2_pair, rho, threshold_p
+from oracles import naive_classes_no_isolated_upto, subset_m2, subset_m2_pair, subset_rho
+from ramseykit import build_from_text, density_report, m2, m2_pair, rho, sample_gnp, threshold_p
+from ramseykit.density import DensityReport
 
 b = build_from_text
 
@@ -117,3 +118,47 @@ def test_subset_cap_enforced():
     big = Graph.from_edges(25, [(0, 1)])
     with pytest.raises(ValueError):
         rho(big)
+
+
+def test_rho_near_subset_cap():
+    X = b("10K2")
+    assert X.n == 20
+    r = rho(X)
+    assert r.value == Fraction(1, 2)
+    assert r.witness == (0, 1)
+    assert m2(X) is None
+
+
+PARTNERS = [b(t) for t in ("K3", "K4", "C4", "C5", "K4+C5")]
+
+
+def _check_against_subset_oracle(X, swaps):
+    """Value and witness of rho, m2 and m2_pair (both argument orders) equal
+    those of the every-subset maximizer."""
+    assert rho(X) == subset_rho(X)
+    assert m2(X) == subset_m2(X)
+    if not X.has_cycle():
+        return
+    for Y in PARTNERS:
+        for G, H in ((X, Y), (Y, X)):
+            got = m2_pair(G, H)
+            assert got == subset_m2_pair(G, H)
+            swaps.add(got.swapped)
+    expected = DensityReport(subset_rho(X), subset_m2(X), subset_m2_pair(X, PARTNERS[0]))
+    assert density_report(X, pair_with=PARTNERS[0]) == expected
+
+
+def test_matches_subset_oracle_on_small_graphs():
+    swaps = set()
+    for X in naive_classes_no_isolated_upto(5):
+        _check_against_subset_oracle(X, swaps)
+    assert swaps == {False, True}
+
+
+def test_matches_subset_oracle_on_random_graphs():
+    swaps = set()
+    for n in range(3, 12):
+        for p in (0.2, 0.35, 0.6):
+            for index in range(2):
+                _check_against_subset_oracle(sample_gnp(n, p, seed=n, sample_index=index), swaps)
+    assert swaps == {False, True}

@@ -96,3 +96,23 @@ def test_output_order_fixed_by_n_then_c():
     cfg = _small_config(c_values=(2.0, 0.5))
     results = run_experiment(cfg)
     assert [r.c for r in results] == [0.5, 2.0]
+
+
+def test_pair_density_computed_once_per_run(monkeypatch):
+    import ramseykit.randomgraphs as rg
+    from ramseykit import threshold_p
+
+    real_m2_pair = rg.m2_pair
+    calls = []
+
+    def counting_m2_pair(G, H):
+        calls.append((G, H))
+        return real_m2_pair(G, H)
+
+    monkeypatch.setattr(rg, "m2_pair", counting_m2_pair)
+    cfg = _small_config(n_values=(6, 7), c_values=(0.5, 1.0, 2.0), samples=3)
+    results = run_experiment(cfg)
+    assert len(results) == 6
+    assert len(calls) == 1
+    for r in results:
+        assert r.p == threshold_p(cfg.G, cfg.H, r.n, r.c)
