@@ -27,7 +27,6 @@ reported as a verdict.
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -38,7 +37,7 @@ from .graphs import DEFAULT_VERTEX_CAP, Graph, VertexCapError
 RED = "red"
 BLUE = "blue"
 
-DEFAULT_NODE_BUDGET = int(os.environ.get("RAMSEYKIT_NODE_BUDGET", 10**8))
+DEFAULT_NODE_BUDGET = 10**8
 
 # Copy lists are held in memory; a pattern with more copies than this in F
 # ends the search as unknown, whatever the node budget.
@@ -242,18 +241,23 @@ class EdgeColoring:
 
 
 @dataclass
-class FindResult:
-    coloring: Optional[EdgeColoring]
-    exhausted: bool  # True: whole space pruned, so no good coloring exists
-    nodes: int
-
-
-@dataclass
 class ArrowVerdict:
-    arrows: Optional[bool]  # None = unknown (budget hit)
-    witness: Optional[EdgeColoring]
+    """Outcome of one arrowing search: a good coloring (arrows False), an
+    exhausted search (arrows True), or unknown (arrows None, budget hit)."""
+
+    arrows: Optional[bool]
+    witness: Optional[EdgeColoring]  # the good coloring when arrows is False
     nodes: int
     elapsed: float
+
+    # perfbench/tracing.py:141 reads the search result under these names
+    @property
+    def coloring(self) -> Optional[EdgeColoring]:
+        return self.witness
+
+    @property
+    def exhausted(self) -> bool:
+        return self.arrows is True
 
 
 def _check_targets(G: Graph, H: Graph):
@@ -307,23 +311,31 @@ def find_good_coloring(
     G: Graph,
     H: Graph,
     budget: int = DEFAULT_NODE_BUDGET,
-) -> FindResult:
+) -> ArrowVerdict:
     """Search for a total coloring of F with no red G and no blue H, by unit
     propagation over the copies of G and H in F (see the module notes).
 
-    Raises ValueError on a budget below 1 and VertexCapError when F has
-    more than DEFAULT_VERTEX_CAP non-isolated vertices."""
+    Raises ValueError on a target without edges or a budget below 1, and
+    VertexCapError when F has more than DEFAULT_VERTEX_CAP non-isolated
+    vertices."""
+    t0 = time.perf_counter()
     _check_targets(G, H)
     _check_search(F, budget)
+    outcome, witness, nodes = _search(F, G, H, budget)
+    return ArrowVerdict(outcome, witness, nodes, time.perf_counter() - t0)
+
+
+def _search(F: Graph, G: Graph, H: Graph, budget: int):
+    """(arrows, witness, nodes) of the search behind `find_good_coloring`."""
     limit = min(budget, MAX_COPIES)
     g_imgs = _copies(F, G, limit)
     if not g_imgs:
-        return FindResult(_monochrome(F, RED), False, 0)
+        return False, _monochrome(F, RED), 0
     if len(g_imgs) > limit:
         # Too many G-copies to list; only a missing H-copy still decides.
         if _copies(F, H, 0):
-            return FindResult(None, False, limit)
-        return FindResult(_monochrome(F, BLUE), False, limit)
+            return None, None, limit
+        return False, _monochrome(F, BLUE), limit
     nodes = len(g_imgs)
     if H == G:
         h_imgs = g_imgs
@@ -331,9 +343,9 @@ def find_good_coloring(
         limit = min(budget - nodes, MAX_COPIES)
         h_imgs = _copies(F, H, limit)
         if not h_imgs:
-            return FindResult(_monochrome(F, BLUE), False, nodes)
+            return False, _monochrome(F, BLUE), nodes
         if len(h_imgs) > limit:
-            return FindResult(None, False, nodes + limit)
+            return None, None, nodes + limit
         nodes += len(h_imgs)
 
     degs = [row.bit_count() for row in F.adj]
@@ -374,7 +386,7 @@ def find_good_coloring(
         forced = red | blue
         state = _propagate(red, blue, [e for e in range(m) if forced >> e & 1], g_through, h_through)
     if state is None:
-        return FindResult(None, True, nodes)
+        return True, None, nodes
     red, blue = state
 
     stack = []  # (red, blue, edge) of each red decision whose blue branch is open
@@ -384,7 +396,7 @@ def find_good_coloring(
         if not free:
             break
         if nodes >= budget:
-            return FindResult(None, False, nodes)
+            return None, None, nodes
         nodes += 1
         e = (free & -free).bit_length() - 1
         if not (first and swap):
@@ -393,30 +405,21 @@ def find_good_coloring(
         state = _propagate(red | 1 << e, blue, [e], g_through, h_through)
         while state is None:
             if not stack:
-                return FindResult(None, True, nodes)
+                return True, None, nodes
             if nodes >= budget:
-                return FindResult(None, False, nodes)
+                return None, None, nodes
             nodes += 1
             red, blue, e = stack.pop()
             state = _propagate(red, blue | 1 << e, [e], g_through, h_through)
         red, blue = state
     coloring = EdgeColoring(F, {edges[i]: BLUE if blue >> i & 1 else RED for i in range(m)})
-    return FindResult(coloring, False, nodes)
+    return False, coloring, nodes
 
 
 def arrows(F: Graph, G: Graph, H: Graph, budget: int = DEFAULT_NODE_BUDGET) -> ArrowVerdict:
     """Decide F -> (G,H). Isolated vertices of F are stripped first; they
     cannot affect any coloring."""
-    _check_targets(G, H)
-    t0 = time.perf_counter()
-    F = F.without_isolated()
-    res = find_good_coloring(F, G, H, budget=budget)
-    elapsed = time.perf_counter() - t0
-    if res.coloring is not None:
-        return ArrowVerdict(False, res.coloring, res.nodes, elapsed)
-    if res.exhausted:
-        return ArrowVerdict(True, None, res.nodes, elapsed)
-    return ArrowVerdict(None, None, res.nodes, elapsed)
+    return find_good_coloring(F.without_isolated(), G, H, budget=budget)
 
 
 def naive_arrows(F: Graph, G: Graph, H: Graph) -> bool:
@@ -446,6 +449,7 @@ def naive_arrows(F: Graph, G: Graph, H: Graph) -> bool:
 @dataclass
 class MinimalityReport:
     is_ramsey: Optional[bool]
+    # good coloring of F - e, or None when F - e still arrows or is unknown
     per_edge: Dict[Tuple[int, int], Optional[EdgeColoring]]
     is_minimal: Optional[bool]
 
@@ -453,29 +457,18 @@ class MinimalityReport:
 def is_ramsey_minimal(
     F: Graph, G: Graph, H: Graph, budget: int = DEFAULT_NODE_BUDGET
 ) -> MinimalityReport:
-    """F arrows (G,H) and every single-edge deletion stops arrowing. Raises
+    """F arrows (G,H) and every single-edge deletion stops arrowing. One
+    deletion proven to still arrow makes F not minimal whatever the others
+    return; otherwise an unknown deletion leaves the answer unknown. Raises
     like `arrows` on a budget below 1 or a host over the vertex cap."""
     F = F.without_isolated()
     top = arrows(F, G, H, budget=budget)
-    if top.arrows is None:
-        return MinimalityReport(None, {}, None)
-    if not top.arrows:
-        return MinimalityReport(False, {}, False)
-    per_edge: Dict[Tuple[int, int], Optional[EdgeColoring]] = {}
-    unknown = False
-    for e in F.edges():
-        sub = F.delete_edge(*e)
-        res = find_good_coloring(sub, G, H, budget=budget)
-        if res.coloring is not None:
-            per_edge[e] = res.coloring
-        elif res.exhausted:
-            per_edge[e] = None  # F-e still arrows: not minimal
-        else:
-            per_edge[e] = None
-            unknown = True
-    if unknown:
-        return MinimalityReport(True, per_edge, None)
-    return MinimalityReport(True, per_edge, all(w is not None for w in per_edge.values()))
+    if not top.arrows:  # does not arrow, or unknown: so is minimality
+        return MinimalityReport(top.arrows, {}, top.arrows)
+    verdicts = {e: find_good_coloring(F.delete_edge(*e), G, H, budget=budget) for e in F.edges()}
+    outcomes = {v.arrows for v in verdicts.values()}
+    is_minimal = False if True in outcomes else None if None in outcomes else True
+    return MinimalityReport(True, {e: v.witness for e, v in verdicts.items()}, is_minimal)
 
 
 def ramsey_number_complete(

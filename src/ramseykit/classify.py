@@ -11,10 +11,10 @@ guesses it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from dataclasses import dataclass
+from typing import List, Optional
 
-from .graphs import Graph, classify_component, components
+from .graphs import Graph, components
 
 FINITE = "Finite"
 INFINITE = "Infinite"

@@ -19,9 +19,9 @@ from fractions import Fraction
 from . import __version__
 from .arrowing import DEFAULT_NODE_BUDGET, arrows, is_ramsey_minimal
 from .classify import classify
-from .density import density_report, m2_pair
+from .density import density_report
 from .enumeration import SearchBounds, enumerate_ramsey_minimal
-from .graph6 import Graph6Error, emit_graph6, parse_graph6
+from .graph6 import Graph6Error, parse_graph6
 from .graphs import Graph, build_from_text
 from .randomgraphs import ExperimentConfig, results_to_csv, run_experiment
 
@@ -189,35 +189,39 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def budget(p):
         p.add_argument("--budget", type=_positive_int, default=DEFAULT_NODE_BUDGET,
                        help="node budget per arrowing search (at least 1)")
+
+    def output_format(p):
         p.add_argument("--format", choices=["json", "text"], default="json")
 
     p = sub.add_parser("arrow", help="decide F -> (G,H)")
     p.add_argument("F")
     p.add_argument("G")
     p.add_argument("H")
-    common(p)
+    budget(p)
+    output_format(p)
     p.set_defaults(func=_cmd_arrow)
 
     p = sub.add_parser("minimal", help="check Ramsey-minimality of F for (G,H)")
     p.add_argument("F")
     p.add_argument("G")
     p.add_argument("H")
-    common(p)
+    budget(p)
+    output_format(p)
     p.set_defaults(func=_cmd_minimal)
 
     p = sub.add_parser("density", help="density parameters of X")
     p.add_argument("X")
     p.add_argument("--pair", default=None, help="second graph for the pair parameter")
-    common(p)
+    output_format(p)
     p.set_defaults(func=_cmd_density)
 
     p = sub.add_parser("classify", help="Ramsey-finite / Ramsey-infinite verdict")
     p.add_argument("G")
     p.add_argument("H")
-    common(p)
+    output_format(p)
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("enumerate", help="Ramsey-minimal catalog within bounds")
@@ -225,7 +229,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("H")
     p.add_argument("--max-v", type=int, required=True)
     p.add_argument("--max-e", type=int, required=True)
-    common(p)
+    budget(p)
+    output_format(p)
     p.set_defaults(func=_cmd_enumerate)
 
     p = sub.add_parser("threshold", help="Monte Carlo threshold experiment, CSV output")
@@ -236,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output", default=None)
-    common(p)
+    budget(p)
     p.set_defaults(func=_cmd_threshold)
 
     return parser

@@ -12,17 +12,11 @@ relabeled duplicates among one parent's children.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Iterator, List, Tuple
 
-from .arrowing import (
-    DEFAULT_NODE_BUDGET,
-    arrows,
-    contains_copy,
-    find_good_coloring,
-    is_ramsey_minimal,
-)
-from .canon import canonical_representative, certificate
+from .arrowing import DEFAULT_NODE_BUDGET, MinimalityReport, contains_copy, is_ramsey_minimal
+from .canon import canonical_representative
 from .density import m2_pair, rho
 from .graph6 import emit_graph6
 from .graphs import DEFAULT_VERTEX_CAP, Graph
@@ -71,13 +65,12 @@ def _children(rep: Graph, bounds: SearchBounds) -> Iterator[Graph]:
     if n + 2 <= bounds.max_vertices:
         grown = Graph(n + 2, rep.adj + (0, 0))
         candidates.append(grown.add_edge(n, n + 1))
-    seen = set()
+    seen = set()  # equal canonical representatives = isomorphic children
     for child in candidates:
         child_rep = canonical_representative(child)
-        cert = certificate(child_rep)
-        if cert in seen:
+        if child_rep in seen:
             continue
-        seen.add(cert)
+        seen.add(child_rep)
         if _parent_rep(child_rep) == rep:
             yield child_rep
 
@@ -104,7 +97,7 @@ def enumerate_graphs(bounds: SearchBounds) -> Iterator[Graph]:
 @dataclass
 class CatalogMember:
     graph: Graph
-    minimality: object  # MinimalityReport
+    minimality: MinimalityReport
 
     def digest(self) -> dict:
         return {
@@ -122,7 +115,7 @@ class MinimalCatalog:
     pair: Tuple[Graph, Graph]
     bounds: SearchBounds
     members: List[CatalogMember]
-    complete: bool  # False when any arrowing call hit its budget
+    complete: bool  # False when some candidate's minimality stayed unknown
 
     @property
     def completeness(self) -> str:
@@ -148,10 +141,11 @@ def enumerate_ramsey_minimal(G: Graph, H: Graph, bounds: SearchBounds) -> Minima
     """Every Ramsey-minimal graph for (G,H) within the bounds.
 
     Pre-filters, cheapest first: the candidate must contain a copy of G and
-    a copy of H (a monochromatic copy needs a copy), then must arrow, then
-    must lose arrowing on every single-edge deletion. A candidate that
+    a copy of H (a monochromatic copy needs a copy), and a candidate that
     properly contains an already-found member is skipped: it arrows but
-    cannot be minimal."""
+    cannot be minimal. Each remaining candidate gets one
+    `is_ramsey_minimal` call, which proves it arrows and then searches
+    every single-edge deletion."""
     budget = bounds.node_budget
     members: List[CatalogMember] = []
     complete = True
@@ -166,17 +160,10 @@ def enumerate_ramsey_minimal(G: Graph, H: Graph, bounds: SearchBounds) -> Minima
             for m in members
         ):
             continue
-        verdict = arrows(F, G, H, budget=budget)
-        if verdict.arrows is None:
-            complete = False
-            continue
-        if not verdict.arrows:
-            continue
         report = is_ramsey_minimal(F, G, H, budget=budget)
         if report.is_minimal is None:
             complete = False
-            continue
-        if report.is_minimal:
+        elif report.is_minimal:
             members.append(CatalogMember(F, report))
     return MinimalCatalog((G, H), bounds, members, complete)
 

@@ -14,10 +14,10 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from io import StringIO
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence
 
 from .arrowing import DEFAULT_NODE_BUDGET, arrows
 from .density import _edge_probability, m2_pair

@@ -43,26 +43,45 @@ def test_p5_contains_matching():
 
 def test_good_coloring_on_k5():
     res = find_good_coloring(b("K5"), b("K3"), b("K3"))
-    assert res.coloring is not None
-    assert res.coloring.is_good(b("K3"), b("K3"))
+    assert res.arrows is False
+    assert res.witness.is_good(b("K3"), b("K3"))
 
 
 def test_k6_exhausted():
     res = find_good_coloring(b("K6"), b("K3"), b("K3"))
-    assert res.coloring is None
-    assert res.exhausted
+    assert res.witness is None
+    assert res.arrows is True
 
 
 def test_matching_good_coloring():
     res = find_good_coloring(b("2K2"), b("2K2"), b("2K2"))
-    assert res.coloring is not None
-    colors = set(res.coloring.assignment.values())
+    assert res.witness is not None
+    colors = set(res.witness.assignment.values())
     assert colors == {"red", "blue"}
 
 
 def test_targets_need_an_edge():
-    with pytest.raises(ValueError):
-        find_good_coloring(b("K3"), b("K2"), build_from_text("0K2"))
+    for call in (find_good_coloring, arrows, is_ramsey_minimal):
+        with pytest.raises(ValueError):
+            call(b("K3"), b("K2"), build_from_text("0K2"))
+        with pytest.raises(ValueError):
+            call(b("K3"), build_from_text("0K2"), b("K2"))
+
+
+def test_search_result_names_agree():
+    # the benchmark tracer reads a verdict's `coloring` and `exhausted`
+    cases = [
+        (b("K5"), None, False),  # witness
+        (b("K6"), None, True),  # proof
+        (b("K6"), 3, None),  # unknown
+    ]
+    for F, budget, want in cases:
+        kwargs = {} if budget is None else {"budget": budget}
+        for call in (find_good_coloring, arrows):
+            v = call(F, b("K3"), b("K3"), **kwargs)
+            assert v.arrows is want
+            assert v.coloring is v.witness
+            assert v.exhausted is (v.arrows is True)
 
 
 def test_arrows_examples():
@@ -132,6 +151,29 @@ def test_k7_not_minimal():
     assert rep.is_ramsey is True
     assert rep.is_minimal is False
     # every deletion still contains K6, so no witness anywhere
+    assert all(w is None for w in rep.per_edge.values())
+
+
+def test_one_proven_deletion_settles_not_minimal():
+    # K6+2K5 -> (K3,K3) takes 59 nodes; deleting a K5 edge still arrows
+    # (proved in 56 nodes), while the K6-edge deletions need 63 nodes for a
+    # witness, so at budget 60 they stay unknown
+    F = b("K6+2K5")
+    rep = is_ramsey_minimal(F, b("K3"), b("K3"), budget=60)
+    assert rep.is_ramsey is True
+    assert rep.is_minimal is False
+    assert set(rep.per_edge) == set(F.edges())
+    assert all(w is None for w in rep.per_edge.values())
+    rep = is_ramsey_minimal(F, b("K3"), b("K3"), budget=63)
+    assert rep.is_minimal is False
+    assert sum(w is not None for w in rep.per_edge.values()) == 15
+
+
+def test_unknown_deletions_without_a_proof_leave_minimality_unknown():
+    # K7 -> (K3,C4) is proved in 466 nodes, each deletion needs over 700
+    rep = is_ramsey_minimal(b("K7"), b("K3"), b("C4"), budget=500)
+    assert rep.is_ramsey is True
+    assert rep.is_minimal is None
     assert all(w is None for w in rep.per_edge.values())
 
 

@@ -164,3 +164,20 @@ def test_host_over_vertex_cap_is_a_usage_error(capsys):
 
 def test_threads_flag_is_gone(capsys):
     assert run_cli(capsys, "arrow", "K6", "K3", "K3", "--threads", "2")[0] == 1
+
+
+def test_unread_flags_are_gone(capsys):
+    assert run_cli(capsys, "density", "K4", "--budget", "1")[0] == 1
+    assert run_cli(capsys, "classify", "S3", "S3", "--budget", "1")[0] == 1
+    threshold = ["threshold", "K3", "K3", "--n", "7", "--c", "1", "--samples", "2"]
+    assert run_cli(capsys, *threshold, "--format", "text")[0] == 1
+    assert run_cli(capsys, *threshold, "--budget", "10")[0] == 0
+
+
+def test_minimal_with_a_proven_deletion_is_false_under_budget(capsys):
+    # the K5-edge deletions still arrow within the budget, the K6-edge
+    # witness searches do not finish: one proof settles is_minimal
+    doc = run_json(capsys, "minimal", "K6+2K5", "K3", "K3", "--budget", "60")
+    assert doc["is_ramsey"] is True
+    assert doc["is_minimal"] is False
+    assert all(item["good_coloring"] is None for item in doc["per_edge"])

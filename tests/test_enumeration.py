@@ -1,8 +1,10 @@
+import sys
 from itertools import product
 
 import pytest
 
 from oracles import burnside_counts_by_edges, naive_classes_no_isolated_upto
+from ramseykit import arrowing
 from ramseykit import (
     SearchBounds,
     build_from_text,
@@ -98,6 +100,24 @@ def test_catalog_bound_monotonicity():
     small_certs = {certificate(g) for g in small.member_graphs()}
     large_certs = {certificate(g) for g in large.member_graphs()}
     assert small_certs <= large_certs
+
+
+def test_each_candidate_is_proved_once(monkeypatch):
+    asked = []
+    real = arrowing.arrows
+
+    def counting(F, G, H, **kwargs):
+        asked.append((F.n, F.adj))
+        return real(F, G, H, **kwargs)
+
+    # rebind every module's name for it, as the benchmark tracer does
+    for name, module in list(sys.modules.items()):
+        if name.startswith("ramseykit") and getattr(module, "arrows", None) is real:
+            monkeypatch.setattr(module, "arrows", counting)
+    cat = enumerate_ramsey_minimal(b("2K2"), b("2K2"), SearchBounds(8, 10))
+    assert {certificate(g) for g in cat.member_graphs()} == {certificate(b("3K2")), certificate(b("C5"))}
+    assert asked
+    assert len(asked) == len(set(asked))
 
 
 def test_catalog_budget_limited_flag():
