@@ -449,9 +449,13 @@ def naive_arrows(F: Graph, G: Graph, H: Graph) -> bool:
 @dataclass
 class MinimalityReport:
     is_ramsey: Optional[bool]
-    # good coloring of F - e, or None when F - e still arrows or is unknown
-    per_edge: Dict[Tuple[int, int], Optional[EdgeColoring]]
+    edge_verdicts: Dict[Tuple[int, int], ArrowVerdict]  # the search of F - e, per edge
     is_minimal: Optional[bool]
+
+    @property
+    def per_edge(self) -> Dict[Tuple[int, int], Optional[EdgeColoring]]:
+        """Good coloring of F - e, or None when F - e still arrows or is unknown."""
+        return {e: v.witness for e, v in self.edge_verdicts.items()}
 
 
 def is_ramsey_minimal(
@@ -468,7 +472,7 @@ def is_ramsey_minimal(
     verdicts = {e: find_good_coloring(F.delete_edge(*e), G, H, budget=budget) for e in F.edges()}
     outcomes = {v.arrows for v in verdicts.values()}
     is_minimal = False if True in outcomes else None if None in outcomes else True
-    return MinimalityReport(True, {e: v.witness for e, v in verdicts.items()}, is_minimal)
+    return MinimalityReport(True, verdicts, is_minimal)
 
 
 def ramsey_number_complete(

@@ -109,7 +109,7 @@ def _canon_connected(n, adj):
 
 @lru_cache(maxsize=1 << 18)
 def _canon(n, adj):
-    g = Graph(n, adj)
+    g = Graph._trusted(n, adj)  # (n, adj) always comes from a valid Graph
     comps = g.connected_components()
     canned = []
     for vs in comps:

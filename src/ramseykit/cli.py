@@ -48,18 +48,27 @@ def _positive_int(text: str) -> int:
 
 
 def parse_graph_argument(text: str) -> Graph:
+    """An expression, a path to a file, or graph6, tried in that order. A
+    file's first line is read as an expression or graph6 only, so a file
+    that names itself cannot loop."""
     try:
         return build_from_text(text)
     except ValueError:
         pass
     if os.path.isfile(text):
         with open(text) as f:
-            line = f.readline().strip()
-        return parse_graph_argument(line)
+            text = f.readline().strip()
+        try:
+            return build_from_text(text)
+        except ValueError:
+            pass
     try:
         return parse_graph6(text)
     except Graph6Error as exc:
         raise UsageError(f"cannot read graph argument {text!r}: {exc}") from exc
+
+
+_VERDICT_WORDS = {True: "arrows", False: "does-not-arrow", None: "unknown"}
 
 
 def _witness_doc(coloring):
@@ -87,7 +96,7 @@ def _cmd_arrow(args) -> int:
     doc = {
         "command": "arrow",
         "arrows": v.arrows,
-        "verdict": {True: "arrows", False: "does-not-arrow", None: "unknown"}[v.arrows],
+        "verdict": _VERDICT_WORDS[v.arrows],
         "witness": _witness_doc(v.witness),
         "nodes": v.nodes,
         "elapsed": round(v.elapsed, 6),
@@ -107,8 +116,9 @@ def _cmd_minimal(args) -> int:
         "is_ramsey": rep.is_ramsey,
         "is_minimal": rep.is_minimal,
         "per_edge": [
-            {"edge": list(e), "good_coloring": _witness_doc(w)}
-            for e, w in sorted(rep.per_edge.items())
+            {"edge": list(e), "verdict": _VERDICT_WORDS[v.arrows],
+             "good_coloring": _witness_doc(v.witness)}
+            for e, v in sorted(rep.edge_verdicts.items())
         ],
         "citations": [],
     }

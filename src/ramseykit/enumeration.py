@@ -1,19 +1,19 @@
 """Isomorph-free graph generation and Ramsey-minimal catalogs.
 
-Generation is by canonical augmentation: graphs grow one edge at a time
-(edge between existing vertices, pendant edge to a fresh vertex, or a
-fresh disjoint edge), and a child is kept only when deleting its canonical
-last edge - the lexicographically largest edge of the canonical
-representative - leads back to the parent it was grown from. Each
-isomorphism class with no isolated vertices is therefore visited exactly
-once without a global dedupe table; a small per-parent table removes
-relabeled duplicates among one parent's children.
+Generation keeps one table of canonical representatives per edge count.
+Every graph of one level is grown by one edge in each possible way (an
+edge between existing vertices, a pendant edge to a fresh vertex, or a
+fresh disjoint edge), and each extension is canonicalized once; a
+representative not yet in the next level's table is new. Every class with
+no isolated vertices is reached, because deleting any one of its edges and
+dropping the isolated vertices leaves a class of the level below, from
+which re-adding that edge is one of the three extensions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 from .arrowing import DEFAULT_NODE_BUDGET, MinimalityReport, contains_copy, is_ramsey_minimal
 from .canon import canonical_representative
@@ -35,44 +35,24 @@ class SearchBounds:
             raise ValueError(f"max_vertices exceeds vertex cap {DEFAULT_VERTEX_CAP}")
 
 
-def _canonical_last_edge(rep: Graph) -> Tuple[int, int]:
-    return max(rep.edges())
-
-
-def _parent_rep(rep: Graph) -> Graph:
-    """Generation parent: delete the canonical last edge, drop isolated
-    vertices, canonicalize."""
-    shrunk = rep.delete_edge(*_canonical_last_edge(rep)).without_isolated()
-    return canonical_representative(shrunk)
-
-
-def _children(rep: Graph, bounds: SearchBounds) -> Iterator[Graph]:
+def _extensions(rep: Graph, bounds: SearchBounds) -> Iterator[Graph]:
+    """Every graph within the bounds grown from rep by one edge."""
     n = rep.n
-    candidates = []
     if rep.edge_count + 1 > bounds.max_edges:
         return
     # new edge between existing vertices
     for u in range(n):
         for v in range(u + 1, n):
             if not rep.has_edge(u, v):
-                candidates.append(rep.add_edge(u, v))
+                yield rep.add_edge(u, v)
     # pendant edge to one fresh vertex
     if n + 1 <= bounds.max_vertices:
-        grown = Graph(n + 1, rep.adj + (0,))
+        grown = Graph._trusted(n + 1, rep.adj + (0,))
         for u in range(n):
-            candidates.append(grown.add_edge(u, n))
+            yield grown.add_edge(u, n)
     # fresh disjoint edge
     if n + 2 <= bounds.max_vertices:
-        grown = Graph(n + 2, rep.adj + (0, 0))
-        candidates.append(grown.add_edge(n, n + 1))
-    seen = set()  # equal canonical representatives = isomorphic children
-    for child in candidates:
-        child_rep = canonical_representative(child)
-        if child_rep in seen:
-            continue
-        seen.add(child_rep)
-        if _parent_rep(child_rep) == rep:
-            yield child_rep
+        yield Graph._trusted(n + 2, rep.adj + (0, 0)).add_edge(n, n + 1)
 
 
 def enumerate_graphs(bounds: SearchBounds) -> Iterator[Graph]:
@@ -84,11 +64,13 @@ def enumerate_graphs(bounds: SearchBounds) -> Iterator[Graph]:
     level = [canonical_representative(Graph.from_edges(2, [(0, 1)]))]
     yield level[0]
     for _ in range(1, bounds.max_edges):
-        nxt: List[Graph] = []
+        nxt: Dict[Graph, None] = {}  # insertion-ordered set of representatives
         for g in level:
-            for child in _children(g, bounds):
-                nxt.append(child)
-                yield child
+            for child in _extensions(g, bounds):
+                rep = canonical_representative(child)
+                if rep not in nxt:
+                    nxt[rep] = None
+                    yield rep
         if not nxt:
             return
         level = nxt
@@ -140,21 +122,15 @@ class MinimalCatalog:
 def enumerate_ramsey_minimal(G: Graph, H: Graph, bounds: SearchBounds) -> MinimalCatalog:
     """Every Ramsey-minimal graph for (G,H) within the bounds.
 
-    Pre-filters, cheapest first: the candidate must contain a copy of G and
-    a copy of H (a monochromatic copy needs a copy), and a candidate that
-    properly contains an already-found member is skipped: it arrows but
-    cannot be minimal. Each remaining candidate gets one
-    `is_ramsey_minimal` call, which proves it arrows and then searches
-    every single-edge deletion."""
+    One pre-filter: a candidate that properly contains an already-found
+    member is skipped, since it arrows but cannot be minimal. Each other
+    candidate gets one `is_ramsey_minimal` call, which proves it arrows
+    and then searches every single-edge deletion; a candidate with no copy
+    of G or of H is settled at once by the search's first step."""
     budget = bounds.node_budget
     members: List[CatalogMember] = []
     complete = True
-    min_edges = max(G.edge_count, H.edge_count)
     for F in enumerate_graphs(bounds):
-        if F.edge_count < min_edges:
-            continue
-        if contains_copy(F, G) is None or contains_copy(F, H) is None:
-            continue
         if any(
             m.graph.edge_count < F.edge_count and contains_copy(F, m.graph) is not None
             for m in members

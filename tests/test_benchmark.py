@@ -3,13 +3,16 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def test_traced_exact_workload_runs_and_is_correct():
+@pytest.mark.parametrize("workload", ["exact", "catalog"])
+def test_traced_workload_runs_and_is_correct(workload):
     # the benchmark traces the library by its public names and result
     # fields; a change to either should fail here, not only in a benchmark run
-    argv = [sys.executable, "perfbench/run.py", "--workload", "exact", "--seed", "1",
+    argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "1",
             "--seconds", "1", "--trace", "1"]
     proc = subprocess.run(argv, cwd=ROOT, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
                           text=True, timeout=170)
@@ -17,4 +20,9 @@ def test_traced_exact_workload_runs_and_is_correct():
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["correct"] is True
     assert result["failed"] == 0
-    assert result["metrics"]["arrowing.calls"]["value"] > 0
+    metrics = {name: m["value"] for name, m in result["metrics"].items()}
+    if workload == "exact":
+        assert metrics["arrowing.calls"] > 0
+    else:
+        assert metrics["enumeration.candidates"] == 1500
+        assert metrics["enumeration.members"] == 2

@@ -119,6 +119,19 @@ def test_file_input(tmp_path, capsys):
     assert doc["arrows"] is True
 
 
+def test_file_input_reads_an_expression_and_no_further_path(tmp_path, monkeypatch, capsys):
+    (tmp_path / "cycle").write_text("C5\n")
+    (tmp_path / "loop").write_text("loop\n")  # names itself
+    (tmp_path / "chain").write_text("cycle\n")
+    monkeypatch.chdir(tmp_path)
+    assert run_json(capsys, "arrow", "cycle", "2K2", "2K2")["arrows"] is True
+    for path in ("loop", "chain"):
+        code, out, err = run_cli(capsys, "arrow", path, "K3", "K3")
+        assert code == 1, err
+        assert out == ""
+        assert "cannot read graph argument" in err
+
+
 def test_parse_graph_argument_prefers_expressions():
     g = parse_graph_argument("C5")
     assert (g.n, g.edge_count) == (5, 5)
@@ -181,3 +194,6 @@ def test_minimal_with_a_proven_deletion_is_false_under_budget(capsys):
     assert doc["is_ramsey"] is True
     assert doc["is_minimal"] is False
     assert all(item["good_coloring"] is None for item in doc["per_edge"])
+    verdicts = [item["verdict"] for item in doc["per_edge"]]
+    assert verdicts.count("arrows") == 20
+    assert verdicts.count("unknown") == 15

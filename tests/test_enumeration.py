@@ -43,7 +43,7 @@ def test_counts_match_burnside():
     # classes with no isolated vertices, <= V vertices and <= E edges equal
     # the Burnside count of graphs on V labeled vertices with 1..E edges
     # (pad with isolated vertices for the bijection)
-    for V, E in ((4, 6), (5, 10), (6, 15)):
+    for V, E in ((4, 6), (5, 10), (6, 15), (8, 10)):
         counts = burnside_counts_by_edges(V)
         expected = sum(counts[1:E + 1])
         got = sum(1 for _ in enumerate_graphs(SearchBounds(V, E)))
