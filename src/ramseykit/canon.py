@@ -3,12 +3,35 @@
 Each connected component is canonicalized by individualization-refinement:
 refine an ordered partition to equitability, branch on the first
 non-singleton cell, and keep the lexicographically largest adjacency
-bit-string over all discrete labelings reached. Component certificates are
-then sorted and concatenated, so disconnected graphs (matchings in
-particular) never pay for cross-component branching.
+bit-string over all discrete labelings reached; the labeling is the first
+leaf in search order that reaches it. Component certificates are then
+sorted and concatenated, so disconnected graphs (matchings in particular)
+never pay for cross-component branching.
+
+The search tree is pruned by automorphisms (McKay & Piperno, Practical
+graph isomorphism II, JSC 2014). A leaf with the same adjacency as the best
+one gives an automorphism, best^-1 o pos, which is recorded as a generator.
+Two rules use them, and neither changes the certificate or the labeling:
+
+- At a node reached by individualizing the path S, a child in the orbit of
+  an explored sibling under the generators that fix S pointwise is skipped.
+  Such an automorphism maps the node's refined partition to itself and the
+  sibling's subtree onto the child's, so the child's leaves repeat values
+  already seen, each later in search order than its twin.
+- The automorphism a leaf gives fixes the path to the leaf's common
+  ancestor with the best leaf and maps the leaf's branch below that
+  ancestor onto the best leaf's branch, which is already explored; the
+  search resumes at that ancestor.
+
+The generators found this way generate Aut of the component. `_canon`
+moves them into the canonical labeling and adds one swap for each pair of
+consecutive isomorphic components, so `CanonicalForm.automorphisms`
+generates Aut of the whole graph. Complete graphs cost about n leaves, not
+n!.
 
 Two graphs are isomorphic iff their certificates are equal; verified
-against brute-force permutation search in the test suite.
+against brute-force permutation search in the test suite, as are the
+automorphism groups.
 """
 
 from __future__ import annotations
@@ -23,6 +46,7 @@ from .graphs import Graph
 class CanonicalForm:
     certificate: bytes
     permutation: tuple  # old label -> new label
+    automorphisms: tuple  # generators of Aut, each new label -> new label
 
 
 def _refine(adj, cells):
@@ -61,8 +85,26 @@ def _pair_index(i, j):
     return j * (j - 1) // 2 + i
 
 
+def _orbit_closure(mask, gens):
+    """The smallest vertex set containing mask that every generator maps
+    into itself."""
+    frontier = mask
+    while frontier:
+        image = 0
+        while frontier:
+            x = (frontier & -frontier).bit_length() - 1
+            frontier &= frontier - 1
+            for a in gens:
+                image |= 1 << a[x]
+        frontier = image & ~mask
+        mask |= frontier
+    return mask
+
+
 def _canon_connected(n, adj):
-    """Return (packed adjacency int under the best labeling, perm)."""
+    """Return (packed adjacency int under the best labeling, perm,
+    generators of Aut); perm maps vertex -> label, each generator maps
+    vertex -> vertex."""
     edges = []
     for u in range(n):
         row = adj[u] >> (u + 1) << (u + 1)
@@ -72,10 +114,14 @@ def _canon_connected(n, adj):
             edges.append((u, v))
     best = -1
     best_perm = None
+    best_inv = None
+    best_path = ()
+    gens = []
 
-    def leaf(cells):
-        nonlocal best, best_perm
-        pos = {}
+    def leaf(cells, path):
+        """Score a discrete partition; return the depth to resume at."""
+        nonlocal best, best_perm, best_inv, best_path
+        pos = [0] * n
         for i, cell in enumerate(cells):
             pos[cell[0]] = i
         acc = 0
@@ -86,25 +132,55 @@ def _canon_connected(n, adj):
             acc |= 1 << _pair_index(a, b)
         if acc > best:
             best = acc
-            best_perm = tuple(pos[v] for v in range(n))
+            best_perm = tuple(pos)
+            best_inv = [0] * n
+            for v, i in enumerate(pos):
+                best_inv[i] = v
+            best_path = path
+        elif acc == best:
+            # both labelings give the same adjacency: best^-1 o pos is an
+            # automorphism, and it maps the rest of this subtree onto the
+            # explored subtree of best's branch at their common ancestor
+            gens.append(tuple(best_inv[i] for i in pos))
+            depth = 0
+            while path[depth] == best_path[depth]:
+                depth += 1
+            return depth
+        return len(path) - 1
 
-    def dfs(cells):
-        cells = _refine(adj, cells)
+    def dfs(cells, path):
+        """Search below the node reached by individualizing path; return the
+        depth of the node to resume at."""
+        if len(cells) < n:  # a discrete partition is already equitable
+            cells = _refine(adj, cells)
         target = None
         for idx, cell in enumerate(cells):
             if len(cell) > 1:
                 target = idx
                 break
         if target is None:
-            leaf(cells)
-            return
+            return leaf(cells, path)
+        depth = len(path)
         cell = cells[target]
+        stabilizer = []  # generators fixing path pointwise
+        scanned = len(gens)
+        covered = 0  # orbit of the explored children under stabilizer
         for v in cell:
+            if covered >> v & 1:
+                continue
             rest = tuple(w for w in cell if w != v)
-            dfs(cells[:target] + [(v,), rest] + cells[target + 1:])
+            resume = dfs(cells[:target] + [(v,), rest] + cells[target + 1:], path + (v,))
+            if resume < depth:
+                return resume
+            for a in gens[scanned:]:
+                if all(a[s] == s for s in path):
+                    stabilizer.append(a)
+            scanned = len(gens)
+            covered = _orbit_closure(covered | 1 << v, stabilizer)
+        return depth - 1
 
-    dfs([tuple(range(n))])
-    return best, best_perm
+    dfs([tuple(range(n))], ())
+    return best, best_perm, gens
 
 
 @lru_cache(maxsize=1 << 18)
@@ -114,25 +190,37 @@ def _canon(n, adj):
     canned = []
     for vs in comps:
         sub = g.induced(vs)
-        acc, perm = _canon_connected(sub.n, sub.adj)
-        canned.append((sub.n, acc, vs, perm))
+        acc, perm, gens = _canon_connected(sub.n, sub.adj)
+        canned.append((sub.n, acc, vs, perm, gens))
     # larger / denser components first; deterministic total order
     canned.sort(key=lambda t: (t[0], t[1]), reverse=True)
     final = [0] * n
     offset = 0
     pieces = []
-    for cn, acc, vs, perm in canned:
+    automorphisms = []
+    previous = None
+    for cn, acc, vs, perm, gens in canned:
         for local, orig in enumerate(vs):
             final[orig] = offset + perm[local]
+        for a in gens:  # component generators, moved into the canonical labeling
+            image = list(range(n))
+            for local in range(cn):
+                image[offset + perm[local]] = offset + perm[a[local]]
+            automorphisms.append(tuple(image))
+        if previous == (cn, acc):  # swap with the isomorphic component before
+            image = list(range(n))
+            for i in range(offset - cn, offset):
+                image[i], image[i + cn] = i + cn, i
+            automorphisms.append(tuple(image))
+        previous = (cn, acc)
         offset += cn
         pieces.append(f"{cn}:{acc:x}")
     cert = (f"{n};" + "|".join(pieces)).encode("ascii")
-    return cert, tuple(final)
+    return cert, tuple(final), tuple(automorphisms)
 
 
 def canonical_form(g: Graph) -> CanonicalForm:
-    cert, perm = _canon(g.n, g.adj)
-    return CanonicalForm(cert, perm)
+    return CanonicalForm(*_canon(g.n, g.adj))
 
 
 def certificate(g: Graph) -> bytes:

@@ -1,13 +1,19 @@
 """Isomorph-free graph generation and Ramsey-minimal catalogs.
 
-Generation keeps one table of canonical representatives per edge count.
-Every graph of one level is grown by one edge in each possible way (an
-edge between existing vertices, a pendant edge to a fresh vertex, or a
-fresh disjoint edge), and each extension is canonicalized once; a
-representative not yet in the next level's table is new. Every class with
-no isolated vertices is reached, because deleting any one of its edges and
-dropping the isolated vertices leaves a class of the level below, from
-which re-adding that edge is one of the three extensions.
+Generation keeps one table of canonical representatives per edge count,
+each with generators of its automorphism group. Every graph of one level is
+grown by one edge in each possible way up to its automorphisms (one new
+edge between existing vertices per Aut-orbit of non-edges, one pendant edge
+to a fresh vertex per Aut-orbit of vertices, and a fresh disjoint edge),
+and each extension is canonicalized once; a representative not yet in the
+next level's table is new. Every class with no isolated vertices is
+reached, because deleting any one of its edges and dropping the isolated
+vertices leaves a class of the level below, from which re-adding that edge
+is one of the three extensions, or an automorphic image of one. The orbit
+keeps its first member in the order all extensions would be tried in, and
+the others are isomorphic to it, so a later one could only have found its
+class in the table already: the order in which classes are emitted is the
+same as when every extension is canonicalized.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterator, List, Tuple
 
 from .arrowing import DEFAULT_NODE_BUDGET, MinimalityReport, contains_copy, is_ramsey_minimal
-from .canon import canonical_representative
+from .canon import canonical_form
 from .density import m2_pair, rho
 from .graph6 import emit_graph6
 from .graphs import DEFAULT_VERTEX_CAP, Graph
@@ -35,24 +41,52 @@ class SearchBounds:
             raise ValueError(f"max_vertices exceeds vertex cap {DEFAULT_VERTEX_CAP}")
 
 
-def _extensions(rep: Graph, bounds: SearchBounds) -> Iterator[Graph]:
-    """Every graph within the bounds grown from rep by one edge."""
+def _orbit_firsts(items, image, gens) -> Iterator:
+    """The first of each orbit of items under the group gens generate, in
+    the order given; image(a, item) applies generator a to an item."""
+    if not gens:
+        yield from items
+        return
+    seen = set()
+    for item in items:
+        if item in seen:
+            continue
+        yield item
+        seen.add(item)
+        stack = [item]
+        while stack:
+            x = stack.pop()
+            for a in gens:
+                y = image(a, x)
+                if y not in seen:
+                    seen.add(y)
+                    stack.append(y)
+
+
+def _pair_image(a, pair):
+    u, v = a[pair[0]], a[pair[1]]
+    return (u, v) if u < v else (v, u)
+
+
+def _extensions(rep: Graph, gens: tuple, bounds: SearchBounds) -> Iterator[Graph]:
+    """Every graph within the bounds grown from rep by one edge, one per
+    orbit of Aut(rep) (generated by gens) on the added edges."""
     n = rep.n
     if rep.edge_count + 1 > bounds.max_edges:
         return
     # new edge between existing vertices
-    for u in range(n):
-        for v in range(u + 1, n):
-            if not rep.has_edge(u, v):
-                yield rep.add_edge(u, v)
+    adj = rep.adj
+    non_edges = [(u, v) for u in range(n) for v in range(u + 1, n) if not adj[u] >> v & 1]
+    for u, v in _orbit_firsts(non_edges, _pair_image, gens):
+        yield rep.add_edge(u, v)
     # pendant edge to one fresh vertex
     if n + 1 <= bounds.max_vertices:
-        grown = Graph._trusted(n + 1, rep.adj + (0,))
-        for u in range(n):
+        grown = Graph._trusted(n + 1, adj + (0,))
+        for u in _orbit_firsts(range(n), tuple.__getitem__, gens):
             yield grown.add_edge(u, n)
     # fresh disjoint edge
     if n + 2 <= bounds.max_vertices:
-        yield Graph._trusted(n + 2, rep.adj + (0, 0)).add_edge(n, n + 1)
+        yield Graph._trusted(n + 2, adj + (0, 0)).add_edge(n, n + 1)
 
 
 def enumerate_graphs(bounds: SearchBounds) -> Iterator[Graph]:
@@ -61,19 +95,22 @@ def enumerate_graphs(bounds: SearchBounds) -> Iterator[Graph]:
     nondecreasing edge count. Canonical representatives are emitted."""
     if bounds.max_vertices < 2 or bounds.max_edges < 1:
         return
-    level = [canonical_representative(Graph.from_edges(2, [(0, 1)]))]
-    yield level[0]
+    k2 = Graph.from_edges(2, [(0, 1)])
+    form = canonical_form(k2)
+    level = [(k2.relabel(form.permutation), form.automorphisms)]
+    yield level[0][0]
     for _ in range(1, bounds.max_edges):
-        nxt: Dict[Graph, None] = {}  # insertion-ordered set of representatives
-        for g in level:
-            for child in _extensions(g, bounds):
-                rep = canonical_representative(child)
-                if rep not in nxt:
-                    nxt[rep] = None
+        nxt: Dict[bytes, Tuple[Graph, tuple]] = {}  # insertion-ordered, by certificate
+        for g, gens in level:
+            for child in _extensions(g, gens, bounds):
+                form = canonical_form(child)
+                if form.certificate not in nxt:
+                    rep = child.relabel(form.permutation)
+                    nxt[form.certificate] = (rep, form.automorphisms)
                     yield rep
         if not nxt:
             return
-        level = nxt
+        level = nxt.values()
 
 
 @dataclass

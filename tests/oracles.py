@@ -1,9 +1,10 @@
 """Independent oracles for the test suite.
 
 Everything here deliberately avoids the library's canonical-labeling,
-pruned-search and density-profile code paths: isomorphism by permutation
-search, isomorphism class generation by brute force, class counting by
-Burnside's lemma, and density parameters by scoring every vertex subset.
+pruned-search and density-profile code paths: isomorphism and automorphism
+counts by permutation search, isomorphism class generation by brute force,
+class counting by Burnside's lemma, and density parameters by scoring every
+vertex subset.
 """
 
 from fractions import Fraction
@@ -25,6 +26,31 @@ def brute_isomorphic(g: Graph, h: Graph) -> bool:
         if g.relabel(perm).adj == h.adj:
             return True
     return False
+
+
+def brute_automorphism_count(g: Graph) -> int:
+    """Number of permutations p with g.relabel(p) == g, by backtracking over
+    partial vertex maps that keep degrees and adjacency."""
+    n = g.n
+    image = [0] * n
+    used = [False] * n
+
+    def extend(v):
+        if v == n:
+            return 1
+        total = 0
+        for w in range(n):
+            if used[w] or g.degree(w) != g.degree(v):
+                continue
+            if any(g.has_edge(u, v) != g.has_edge(image[u], w) for u in range(v)):
+                continue
+            image[v] = w
+            used[w] = True
+            total += extend(v + 1)
+            used[w] = False
+        return total
+
+    return extend(0)
 
 
 def _min_edge_signature(n, edges):

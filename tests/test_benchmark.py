@@ -26,3 +26,5 @@ def test_traced_workload_runs_and_is_correct(workload):
     else:
         assert metrics["enumeration.candidates"] == 1500
         assert metrics["enumeration.members"] == 2
+        # one extension per Aut-orbit, each canonical labeling still traced
+        assert 0 < metrics["canon.calls"] <= 9500

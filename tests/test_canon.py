@@ -3,15 +3,51 @@ from itertools import combinations
 
 import pytest
 
-from oracles import brute_isomorphic, naive_classes_exactly
+from oracles import brute_automorphism_count, brute_isomorphic, naive_classes_exactly
 from ramseykit import (
     Graph,
+    SearchBounds,
     are_isomorphic,
     build_from_text,
     canonical_form,
     canonical_representative,
     certificate,
+    enumerate_graphs,
 )
+
+PETERSEN = Graph.from_edges(
+    10,
+    [(i, (i + 1) % 5) for i in range(5)]
+    + [(i, i + 5) for i in range(5)]
+    + [(5 + i, 5 + (i + 2) % 5) for i in range(5)],
+)
+Q4 = Graph.from_edges(16, [(u, u | 1 << b) for u in range(16) for b in range(4) if not u >> b & 1])
+K33 = Graph.from_edges(6, [(u, v) for u in range(3) for v in range(3, 6)])
+
+
+def generated_order(gens, n):
+    """Order of the permutation group the generators produce, by closure."""
+    identity = tuple(range(n))
+    group = {identity}
+    stack = [identity]
+    while stack:
+        p = stack.pop()
+        for a in gens:
+            q = tuple(a[x] for x in p)
+            if q not in group:
+                group.add(q)
+                stack.append(q)
+    return len(group)
+
+
+def checked_aut_order(g):
+    """Check every generator against the canonical representative and
+    return the order of the group they produce."""
+    form = canonical_form(g)
+    rep = g.relabel(form.permutation)
+    for a in form.automorphisms:
+        assert rep.relabel(a) == rep
+    return generated_order(form.automorphisms, g.n)
 
 
 def test_relabeled_cycles_share_certificate():
@@ -83,3 +119,32 @@ def test_matching_certificates_scale():
     m19 = build_from_text("19K2+P3")
     assert certificate(m20) != certificate(m19)
     assert certificate(m20) == certificate(m20.relabel(list(reversed(range(40)))))
+
+
+def test_automorphism_generators_produce_the_whole_group():
+    graphs = [g for n in range(1, 6) for g in naive_classes_exactly(n)]
+    graphs += list(enumerate_graphs(SearchBounds(6, 6)))
+    for g in graphs:
+        assert checked_aut_order(g) == brute_automorphism_count(g)
+
+
+@pytest.mark.parametrize(
+    "g, order",
+    [(PETERSEN, 120), (Q4, 384), (K33, 72), (build_from_text("3K2"), 48), (build_from_text("C5+C5"), 200)],
+    ids=["Petersen", "Q4", "K33", "3K2", "C5+C5"],
+)
+def test_automorphism_group_orders_from_the_literature(g, order):
+    assert brute_automorphism_count(g) == order
+    assert checked_aut_order(g) == order
+
+
+@pytest.mark.parametrize("n", [9, 10, 12])
+def test_complete_graphs_canonicalize_without_factorial_blowup(n):
+    assert certificate(Graph.complete(n)) == f"{n};{n}:{(1 << n * (n - 1) // 2) - 1:x}".encode()
+
+
+@pytest.mark.parametrize("g", [PETERSEN, Q4], ids=["Petersen", "Q4"])
+def test_symmetric_graphs_keep_their_certificate_under_relabeling(g):
+    perm = list(range(g.n))
+    random.Random(3).shuffle(perm)
+    assert certificate(g.relabel(perm)) == certificate(g)

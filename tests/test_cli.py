@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -197,3 +200,13 @@ def test_minimal_with_a_proven_deletion_is_false_under_budget(capsys):
     verdicts = [item["verdict"] for item in doc["per_edge"]]
     assert verdicts.count("arrows") == 20
     assert verdicts.count("unknown") == 15
+
+
+def test_python_m_ramseykit_runs_the_cli():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "ramseykit", "arrow", "K6", "K3", "K3"],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert '"arrows": true' in proc.stdout

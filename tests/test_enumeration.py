@@ -1,3 +1,4 @@
+import hashlib
 import sys
 from itertools import product
 
@@ -11,6 +12,7 @@ from ramseykit import (
     catalog_density_audit,
     certificate,
     contains_copy,
+    emit_graph6,
     enumerate_graphs,
     enumerate_ramsey_minimal,
     naive_arrows,
@@ -48,6 +50,14 @@ def test_counts_match_burnside():
         expected = sum(counts[1:E + 1])
         got = sum(1 for _ in enumerate_graphs(SearchBounds(V, E)))
         assert got == expected
+
+
+def test_classes_order_and_labeling_are_pinned():
+    # the class set, the yield order and every canonical labeling at once
+    text = "\n".join(
+        f"{emit_graph6(g)} {certificate(g).decode()}" for g in enumerate_graphs(SearchBounds(8, 10))
+    )
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == "50fbe20b225d92de"
 
 
 def test_edge_bound_respected_and_no_duplicates():
