@@ -3,11 +3,10 @@ copy of G or a blue copy of H?
 
 The decision works on the copy hypergraph of F. Every copy of G and of H
 in F is listed once, as a bitmask over the edges of F in a fixed order
-(descending endpoint degree sum); isolated pattern vertices only ask F for
-enough vertices. A coloring is good exactly when every G-copy has a blue
-edge and every H-copy has a red edge. If F has no G-copy the all-red
-coloring is good, and if it has no H-copy the all-blue one is; both exits
-come before any per-edge bookkeeping.
+(descending endpoint degree sum). A coloring is good exactly when every
+G-copy has a blue edge and every H-copy has a red edge. If F has no G-copy
+the all-red coloring is good, and if it has no H-copy the all-blue one is;
+both exits come before any per-edge bookkeeping.
 
 Otherwise an explicit-stack search colors the lowest free edge red, then
 blue, with unit propagation: a G-copy with no blue edge and one uncolored
@@ -32,7 +31,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
-from .graphs import DEFAULT_VERTEX_CAP, Graph, VertexCapError
+from .graphs import DEFAULT_VERTEX_CAP, Graph, VertexCapError, check_targets
 
 RED = "red"
 BLUE = "blue"
@@ -174,19 +173,17 @@ def _embeddings(adj, n, anchors, need, above, prefix, limit) -> List[tuple]:
 
 @lru_cache(maxsize=4096)
 def _copy_plan(pattern: Graph):
-    """Plan that lists each copy of the pattern's non-isolated part exactly
-    once. Positions follow `_pattern_plan`'s visit order; for each position
-    the plan gives its earlier neighbors (anchors), its degree, and the
-    earlier positions whose image must be smaller. Those ordering conditions
-    come from the stabilizer chain of Aut(pattern): for each position i,
-    the image of i is below the image of every other vertex in the orbit of
-    i under the automorphisms fixing positions 0..i-1 (Grochow-Kellis,
-    RECOMB 2007). Each copy then has exactly one admitted embedding, and
-    Aut(pattern) is never listed. Also returns the pattern edges as
-    position pairs."""
-    core = pattern.without_isolated()
-    order = _pattern_plan(core)[0]
-    core = core.relabel([order.index(v) for v in range(core.n)])  # vertex = position
+    """Plan that lists each copy of the pattern exactly once. Positions
+    follow `_pattern_plan`'s visit order; for each position the plan gives
+    its earlier neighbors (anchors), its degree, and the earlier positions
+    whose image must be smaller. Those ordering conditions come from the
+    stabilizer chain of Aut(pattern): for each position i, the image of i
+    is below the image of every other vertex in the orbit of i under the
+    automorphisms fixing positions 0..i-1 (Grochow-Kellis, RECOMB 2007).
+    Each copy then has exactly one admitted embedding, and Aut(pattern) is
+    never listed. Also returns the pattern edges as position pairs."""
+    order = _pattern_plan(pattern)[0]
+    core = pattern.relabel([order.index(v) for v in range(pattern.n)])  # vertex = position
     k = core.n
     anchors = tuple(tuple(j for j in range(i) if core.has_edge(i, j)) for i in range(k))
     need = tuple(core.degree(i) for i in range(k))
@@ -260,11 +257,6 @@ class ArrowVerdict:
         return self.arrows is True
 
 
-def _check_targets(G: Graph, H: Graph):
-    if G.edge_count == 0 or H.edge_count == 0:
-        raise ValueError("target graphs must have at least one edge")
-
-
 def _check_search(F: Graph, budget: int):
     if budget < 1:
         raise ValueError(f"node budget must be at least 1, got {budget}")
@@ -315,11 +307,11 @@ def find_good_coloring(
     """Search for a total coloring of F with no red G and no blue H, by unit
     propagation over the copies of G and H in F (see the module notes).
 
-    Raises ValueError on a target without edges or a budget below 1, and
-    VertexCapError when F has more than DEFAULT_VERTEX_CAP non-isolated
-    vertices."""
+    Raises ValueError on targets `check_targets` rejects or a budget below
+    1, and VertexCapError when F has more than DEFAULT_VERTEX_CAP
+    non-isolated vertices."""
     t0 = time.perf_counter()
-    _check_targets(G, H)
+    check_targets(G, H)
     _check_search(F, budget)
     outcome, witness, nodes = _search(F, G, H, budget)
     return ArrowVerdict(outcome, witness, nodes, time.perf_counter() - t0)
@@ -417,16 +409,15 @@ def _search(F: Graph, G: Graph, H: Graph, budget: int):
 
 
 def arrows(F: Graph, G: Graph, H: Graph, budget: int = DEFAULT_NODE_BUDGET) -> ArrowVerdict:
-    """Decide F -> (G,H). Isolated vertices of F are stripped first; they
-    cannot affect any coloring."""
+    """Decide F -> (G,H) on F.without_isolated(), which a witness colors;
+    the targets have no isolated vertex, so F's cannot matter."""
     return find_good_coloring(F.without_isolated(), G, H, budget=budget)
 
 
 def naive_arrows(F: Graph, G: Graph, H: Graph) -> bool:
     """Reference oracle: enumerate all 2^|E(F)| total colorings with no
     pruning and no copy lists; used to cross-check the search."""
-    _check_targets(G, H)
-    F = F.without_isolated()
+    check_targets(G, H)
     n = F.n
     edges = F.edges()
     m = len(edges)
@@ -476,12 +467,12 @@ def is_ramsey_minimal(
 
 
 def ramsey_number_complete(
-    G: Graph, H: Graph, cap: int, budget: int = DEFAULT_NODE_BUDGET
+    G: Graph, H: Graph, max_n: int, budget: int = DEFAULT_NODE_BUDGET
 ) -> Optional[int]:
-    """Smallest N <= cap with K_N -> (G,H), or None."""
-    if cap < 2:
-        raise ValueError("cap must be at least 2")
-    for N in range(2, cap + 1):
+    """Smallest N <= max_n with K_N -> (G,H), or None."""
+    if max_n < 2:
+        raise ValueError("max_n must be at least 2")
+    for N in range(2, max_n + 1):
         v = arrows(Graph.complete(N), G, H, budget=budget)
         if v.arrows is None:
             raise UnknownVerdictError(f"budget exhausted deciding K_{N} -> (G,H)")

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
-from .graphs import Graph, components
+from .graphs import Graph, Matching, build, check_targets, components
 
 FINITE = "Finite"
 INFINITE = "Infinite"
@@ -92,18 +92,10 @@ def _is_matching(shape: Optional[StarForestShape]) -> bool:
     return shape is not None and shape.s == 0
 
 
-def _precheck(G: Graph, H: Graph):
-    for name, X in (("first", G), ("second", H)):
-        if X.edge_count == 0:
-            raise ValueError(f"{name} target has no edge")
-        if X.isolated_vertices():
-            raise ValueError(f"{name} target has isolated vertices")
-
-
 def classify(G: Graph, H: Graph) -> Classification:
     """Apply the decision rules R1..R8 in order; the trail records every
     decisive rule with its citation."""
-    _precheck(G, H)
+    check_targets(G, H)
     trail: List[TrailEntry] = []
 
     shape_g = shape_of(G)
@@ -195,10 +187,8 @@ def matching_extension_check(G: Graph, H: Graph, ell: int, m: int) -> Classifica
     base = classify(G, H)
     if base.verdict != FINITE:
         raise ValueError("matching_extension_check requires a Finite base pair")
-    from .graphs import SPEC_BUILD_CAP, Matching, build
-
-    G2 = G.disjoint_union(build(Matching(ell)), cap=SPEC_BUILD_CAP)
-    H2 = H.disjoint_union(build(Matching(m)), cap=SPEC_BUILD_CAP)
+    G2 = G.disjoint_union(build(Matching(ell)))
+    H2 = H.disjoint_union(build(Matching(m)))
     result = classify(G2, H2)
     if result.verdict == INFINITE:
         raise ConsistencyError(

@@ -2,7 +2,8 @@
 
 Graph arguments accept the expression syntax (``K6``, ``S5+S2``, ``122K2``,
 ``P4``, ``C5``), a graph6 string, or a path to a file whose first line is
-either of those. Expression syntax wins when a string parses both ways.
+either of those; a text that parses as an expression is never read as
+graph6. Witnesses use the input's vertex labels.
 
 Exit codes: 0 = a verdict was produced (Unknown included), 1 = usage
 error, 2 = internal failure.
@@ -21,8 +22,8 @@ from .arrowing import DEFAULT_NODE_BUDGET, arrows, is_ramsey_minimal
 from .classify import classify
 from .density import density_report
 from .enumeration import SearchBounds, enumerate_ramsey_minimal
-from .graph6 import Graph6Error, parse_graph6
-from .graphs import Graph, build_from_text
+from .graph6 import parse_graph6
+from .graphs import Graph, VertexCapError, build, parse_spec
 from .randomgraphs import ExperimentConfig, results_to_csv, run_experiment
 
 
@@ -47,36 +48,40 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _expression(text: str):
+    """The parsed expression, or None if the text is not one; too big raises."""
+    try:
+        return parse_spec(text)
+    except VertexCapError:
+        raise
+    except ValueError:
+        return None
+
+
 def parse_graph_argument(text: str) -> Graph:
     """An expression, a path to a file, or graph6, tried in that order. A
     file's first line is read as an expression or graph6 only, so a file
     that names itself cannot loop."""
     try:
-        return build_from_text(text)
-    except ValueError:
-        pass
-    if os.path.isfile(text):
-        with open(text) as f:
-            text = f.readline().strip()
-        try:
-            return build_from_text(text)
-        except ValueError:
-            pass
-    try:
-        return parse_graph6(text)
-    except Graph6Error as exc:
+        spec = _expression(text)
+        if spec is None and os.path.isfile(text):
+            with open(text) as f:
+                text = f.readline().strip()
+            spec = _expression(text)
+        return parse_graph6(text) if spec is None else build(spec)
+    except ValueError as exc:
         raise UsageError(f"cannot read graph argument {text!r}: {exc}") from exc
 
 
 _VERDICT_WORDS = {True: "arrows", False: "does-not-arrow", None: "unknown"}
 
 
-def _witness_doc(coloring):
+def _witness_doc(coloring, labels):
     if coloring is None:
         return None
     return [
-        {"edge": list(edge), "color": color}
-        for edge, color in sorted(coloring.assignment.items())
+        {"edge": [labels[u], labels[v]], "color": color}
+        for (u, v), color in sorted(coloring.assignment.items())
     ]
 
 
@@ -93,11 +98,12 @@ def _cmd_arrow(args) -> int:
     G = parse_graph_argument(args.G)
     H = parse_graph_argument(args.H)
     v = arrows(F, G, H, budget=args.budget)
+    labels = [u for u in range(F.n) if F.adj[u]]  # F's label of each vertex of F.without_isolated()
     doc = {
         "command": "arrow",
         "arrows": v.arrows,
         "verdict": _VERDICT_WORDS[v.arrows],
-        "witness": _witness_doc(v.witness),
+        "witness": _witness_doc(v.witness, labels),
         "nodes": v.nodes,
         "elapsed": round(v.elapsed, 6),
         "citations": [],
@@ -111,14 +117,15 @@ def _cmd_minimal(args) -> int:
     G = parse_graph_argument(args.G)
     H = parse_graph_argument(args.H)
     rep = is_ramsey_minimal(F, G, H, budget=args.budget)
+    labels = [u for u in range(F.n) if F.adj[u]]  # F's label of each vertex of F.without_isolated()
     doc = {
         "command": "minimal",
         "is_ramsey": rep.is_ramsey,
         "is_minimal": rep.is_minimal,
         "per_edge": [
-            {"edge": list(e), "verdict": _VERDICT_WORDS[v.arrows],
-             "good_coloring": _witness_doc(v.witness)}
-            for e, v in sorted(rep.edge_verdicts.items())
+            {"edge": [labels[u], labels[w]], "verdict": _VERDICT_WORDS[v.arrows],
+             "good_coloring": _witness_doc(v.witness, labels)}
+            for (u, w), v in sorted(rep.edge_verdicts.items())
         ],
         "citations": [],
     }

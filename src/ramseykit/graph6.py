@@ -8,7 +8,7 @@ zero-padded to a 6-bit boundary.
 
 from __future__ import annotations
 
-from .graphs import DEFAULT_VERTEX_CAP, Graph
+from .graphs import Graph, check_vertex_count
 
 
 class Graph6Error(ValueError):
@@ -39,7 +39,7 @@ def emit_graph6(g: Graph) -> str:
     return head + "".join(chars)
 
 
-def parse_graph6(text: str, cap: int = DEFAULT_VERTEX_CAP) -> Graph:
+def parse_graph6(text: str) -> Graph:
     s = text.strip()
     if not s:
         raise Graph6Error("empty graph6 string")
@@ -58,6 +58,7 @@ def parse_graph6(text: str, cap: int = DEFAULT_VERTEX_CAP) -> Graph:
     else:
         n = vals[0]
         body = vals[1:]
+    check_vertex_count(n)
     nbits = n * (n - 1) // 2
     need = (nbits + 5) // 6
     if len(body) < need:
@@ -77,4 +78,4 @@ def parse_graph6(text: str, cap: int = DEFAULT_VERTEX_CAP) -> Graph:
             if bits[k]:
                 edges.append((i, j))
             k += 1
-    return Graph.from_edges(n, edges, cap=cap)
+    return Graph.from_edges(n, edges)

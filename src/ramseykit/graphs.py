@@ -3,6 +3,11 @@
 Vertices are labeled 0..n-1 and adjacency is stored as one integer bitset
 per vertex, so everything downstream (embedding search, coloring DFS,
 subset enumeration) works on machine-word bit operations.
+
+Every graph has at most MAX_VERTICES vertices, checked before any row or
+edge list is built. Searches enforce their own smaller host cap of
+DEFAULT_VERTEX_CAP non-isolated vertices. `check_targets` holds the one
+target contract: at least one edge and no isolated vertex.
 """
 
 from __future__ import annotations
@@ -12,15 +17,19 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Optional, Union
 
+MAX_VERTICES = 1024
 DEFAULT_VERTEX_CAP = 64
-
-# Target-pair expressions (large matchings in particular) are structural
-# values never fed to exhaustive search, so they get a looser cap.
-SPEC_BUILD_CAP = 1024
 
 
 class VertexCapError(ValueError):
-    """A construction would exceed the configured vertex cap."""
+    """A graph would have more vertices than allowed."""
+
+
+def check_vertex_count(n: int) -> None:
+    if n < 0:
+        raise ValueError("vertex count must be nonnegative")
+    if n > MAX_VERTICES:
+        raise VertexCapError(f"{n} vertices is over the limit of {MAX_VERTICES}")
 
 
 @dataclass(frozen=True)
@@ -31,8 +40,7 @@ class Graph:
     adj: tuple
 
     def __post_init__(self):
-        if self.n < 0:
-            raise ValueError("vertex count must be nonnegative")
+        check_vertex_count(self.n)
         if len(self.adj) != self.n:
             raise ValueError("adjacency must have one row per vertex")
         full = (1 << self.n) - 1 if self.n else 0
@@ -59,9 +67,8 @@ class Graph:
         return g
 
     @staticmethod
-    def from_edges(n: int, edges, cap: int = DEFAULT_VERTEX_CAP) -> "Graph":
-        if n > cap:
-            raise VertexCapError(f"{n} vertices exceeds cap {cap}")
+    def from_edges(n: int, edges) -> "Graph":
+        check_vertex_count(n)
         adj = [0] * n
         for u, v in edges:
             if u == v:
@@ -70,18 +77,17 @@ class Graph:
                 raise ValueError(f"edge ({u},{v}) out of range")
             adj[u] |= 1 << v
             adj[v] |= 1 << u
-        return Graph(n, tuple(adj))
+        return Graph._trusted(n, tuple(adj))
 
     @staticmethod
-    def empty(n: int, cap: int = DEFAULT_VERTEX_CAP) -> "Graph":
-        return Graph.from_edges(n, [], cap=cap)
+    def empty(n: int) -> "Graph":
+        return Graph.from_edges(n, ())
 
     @staticmethod
-    def complete(n: int, cap: int = DEFAULT_VERTEX_CAP) -> "Graph":
-        if n > cap:
-            raise VertexCapError(f"{n} vertices exceeds cap {cap}")
-        full = (1 << n) - 1 if n else 0
-        return Graph(n, tuple(full ^ (1 << v) for v in range(n)))
+    def complete(n: int) -> "Graph":
+        check_vertex_count(n)
+        full = (1 << n) - 1
+        return Graph._trusted(n, tuple(full ^ (1 << v) for v in range(n)))
 
     @cached_property
     def edge_count(self) -> int:
@@ -153,10 +159,9 @@ class Graph:
                 rows = [(row & low) | (row >> 1 & ~low) for row in rows]
         return Graph._trusted(len(rows), tuple(rows))
 
-    def disjoint_union(self, other: "Graph", cap: int = DEFAULT_VERTEX_CAP) -> "Graph":
+    def disjoint_union(self, other: "Graph") -> "Graph":
         n = self.n + other.n
-        if n > cap:
-            raise VertexCapError(f"{n} vertices exceeds cap {cap}")
+        check_vertex_count(n)
         adj = list(self.adj) + [row << self.n for row in other.adj]
         return Graph._trusted(n, tuple(adj))
 
@@ -196,18 +201,21 @@ class Graph:
             comps.append(vs)
         return comps
 
-    def component_graphs(self) -> list:
-        return [self.induced(vs) for vs in self.connected_components()]
-
     def has_cycle(self) -> bool:
-        for vs in self.connected_components():
-            sub = self.induced(vs)
-            if sub.edge_count >= sub.n:
-                return True
-        return False
+        # a forest with c components has exactly n - c edges
+        return self.edge_count > self.n - len(self.connected_components())
 
     def is_connected(self) -> bool:
         return len(self.connected_components()) <= 1
+
+
+def check_targets(G: Graph, H: Graph) -> None:
+    """Raise ValueError unless both targets have an edge and no isolated
+    vertex. Every question about a pair (G,H) starts here."""
+    if G.n and H.n and 0 not in G.adj and 0 not in H.adj:
+        return
+    name = "first" if G.n == 0 or 0 in G.adj else "second"
+    raise ValueError(f"{name} target needs an edge and no isolated vertex")
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +251,7 @@ def classify_component(c: Graph) -> ComponentInfo:
 
 
 def components(g: Graph) -> list:
-    return [classify_component(c) for c in g.component_graphs()]
+    return [classify_component(g.induced(vs)) for vs in g.connected_components()]
 
 
 # ---------------------------------------------------------------------------
@@ -283,32 +291,33 @@ class DisjointUnion:
 GraphSpec = Union[Star, Matching, Path, Cycle, Complete, DisjointUnion]
 
 
-def build(spec: GraphSpec, cap: int = SPEC_BUILD_CAP) -> Graph:
-    """Materialize a graph expression as a concrete graph."""
+def build(spec: GraphSpec) -> Graph:
+    """Materialize a graph expression; edges are generated lazily, so an
+    expression over MAX_VERTICES fails before any edge is made."""
     if isinstance(spec, Star):
         if spec.r < 1:
             raise ValueError("star needs r >= 1")
-        return Graph.from_edges(spec.r + 1, [(0, i) for i in range(1, spec.r + 1)], cap=cap)
+        return Graph.from_edges(spec.r + 1, ((0, i) for i in range(1, spec.r + 1)))
     if isinstance(spec, Matching):
         if spec.j < 0:
             raise ValueError("matching needs j >= 0")
-        return Graph.from_edges(2 * spec.j, [(2 * i, 2 * i + 1) for i in range(spec.j)], cap=cap)
+        return Graph.from_edges(2 * spec.j, ((2 * i, 2 * i + 1) for i in range(spec.j)))
     if isinstance(spec, Path):
         if spec.n < 1:
             raise ValueError("path needs n >= 1")
-        return Graph.from_edges(spec.n, [(i, i + 1) for i in range(spec.n - 1)], cap=cap)
+        return Graph.from_edges(spec.n, ((i, i + 1) for i in range(spec.n - 1)))
     if isinstance(spec, Cycle):
         if spec.n < 3:
             raise ValueError("cycle needs n >= 3")
-        return Graph.from_edges(spec.n, [(i, (i + 1) % spec.n) for i in range(spec.n)], cap=cap)
+        return Graph.from_edges(spec.n, ((i, (i + 1) % spec.n) for i in range(spec.n)))
     if isinstance(spec, Complete):
         if spec.n < 1:
             raise ValueError("complete graph needs n >= 1")
-        return Graph.complete(spec.n, cap=cap)
+        return Graph.complete(spec.n)
     if isinstance(spec, DisjointUnion):
         g = Graph.empty(0)
         for part in spec.parts:
-            g = g.disjoint_union(build(part, cap=cap), cap=cap)
+            g = g.disjoint_union(build(part))
         return g
     raise TypeError(f"not a graph spec: {spec!r}")
 
@@ -337,6 +346,8 @@ def parse_spec(text: str) -> GraphSpec:
             continue
         if m.group(1) is not None and mult == 0:
             raise ValueError(f"zero multiplier only allowed for K2 terms: {term!r}")
+        if mult > MAX_VERTICES:  # every copy has a vertex
+            raise VertexCapError(f"{term!r} has over {MAX_VERTICES} vertices")
         prim: GraphSpec
         if kind == "S":
             prim = Star(num)
@@ -352,5 +363,5 @@ def parse_spec(text: str) -> GraphSpec:
     return DisjointUnion(tuple(parts))
 
 
-def build_from_text(text: str, cap: int = SPEC_BUILD_CAP) -> Graph:
-    return build(parse_spec(text), cap=cap)
+def build_from_text(text: str) -> Graph:
+    return build(parse_spec(text))

@@ -61,11 +61,32 @@ def test_matching_good_coloring():
 
 
 def test_targets_need_an_edge():
-    for call in (find_good_coloring, arrows, is_ramsey_minimal):
+    for call in (find_good_coloring, arrows, is_ramsey_minimal, naive_arrows):
         with pytest.raises(ValueError):
             call(b("K3"), b("K2"), build_from_text("0K2"))
         with pytest.raises(ValueError):
             call(b("K3"), build_from_text("0K2"), b("K2"))
+        # arrows strips F's isolated vertices, which a target's could need
+        with pytest.raises(ValueError, match="isolated"):
+            call(b("K2+K1"), b("K2+K1"), b("K2+K1"))
+        with pytest.raises(ValueError, match="isolated"):
+            call(b("K3"), b("K2"), b("K2+K1"))
+
+
+def test_isolated_host_vertices_change_no_verdict():
+    targets = [b(s) for s in ("K2", "2K2", "P3", "K3")]
+    for core in enumerate_graphs(SearchBounds(6, 6)):
+        for extra in (1, 2):
+            F = core.disjoint_union(Graph.empty(extra))
+            for G, H in product(targets, repeat=2):
+                v = arrows(F, G, H)
+                w = find_good_coloring(F, G, H)
+                assert v.arrows == w.arrows == naive_arrows(F, G, H), (F.edges(), G.edges(), H.edges())
+                if v.witness is not None:
+                    assert v.witness.host == F.without_isolated()
+                    assert v.witness.is_good(G, H)
+                    assert w.witness.host == F
+                    assert w.witness.is_good(G, H)
 
 
 def test_search_result_names_agree():
@@ -245,4 +266,4 @@ def test_host_vertex_cap_is_enforced():
         with pytest.raises(VertexCapError):
             call(F, b("K2"), b("K2"))
     # isolated vertices do not count against the cap
-    assert arrows(b("K6").disjoint_union(Graph.empty(70, cap=70), cap=80), b("K3"), b("K3")).arrows is True
+    assert arrows(b("K6").disjoint_union(Graph.empty(70)), b("K3"), b("K3")).arrows is True

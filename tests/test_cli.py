@@ -1,5 +1,6 @@
 import json
 import os
+import resource
 import subprocess
 import sys
 
@@ -202,11 +203,77 @@ def test_minimal_with_a_proven_deletion_is_false_under_budget(capsys):
     assert verdicts.count("unknown") == 15
 
 
-def test_python_m_ramseykit_runs_the_cli():
+def _limit_memory():
+    # an input that is built before its size is checked fails here, not the machine
+    resource.setrlimit(resource.RLIMIT_AS, (2**31, 2**31))
+
+
+def run_python(*argv):
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, "-m", "ramseykit", "arrow", "K6", "K3", "K3"],
-                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
-                          timeout=60)
+    return subprocess.run([sys.executable, *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          text=True, env=env, timeout=60, preexec_fn=_limit_memory)
+
+
+def run_module(*argv):
+    return run_python("-m", "ramseykit", *argv)
+
+
+def test_python_m_ramseykit_runs_the_cli():
+    proc = run_module("arrow", "K6", "K3", "K3")
     assert proc.returncode == 0, proc.stderr
     assert '"arrows": true' in proc.stdout
+
+
+def _c65_graph6():
+    return emit_graph6(build_from_text("C65"))
+
+
+def test_input_checks_through_python_m():
+    # (argv, exit code, text expected in stdout or stderr, text not expected)
+    cases = [
+        (["arrow", "K2+K1", "K2+K1", "K2+K1"], 1, "isolated", None),
+        (["classify", "100000000K2", "S3"], 1, "1024", "graph6"),
+        (["classify", "2000K2", "S3"], 1, "1024", "graph6"),
+        (["classify", "2000S3", "S3"], 1, "1024", "graph6"),
+        (["classify", "S0", "S3"], 1, "r >= 1", "graph6"),
+        (["classify", _c65_graph6(), "S3"], 0, '"verdict": "Infinite"', None),
+        (["arrow", _c65_graph6(), "K3", "K3"], 1, "cap 64", None),
+        (["classify", "S5+S2", "S3+122K2"], 0, '"rule": "R7"', None),
+    ]
+    for argv, code, want, unwanted in cases:
+        proc = run_module(*argv)
+        assert proc.returncode == code, (argv, proc.stderr)
+        assert want in proc.stdout + proc.stderr, argv
+        if unwanted is not None:
+            assert unwanted not in proc.stderr, argv
+
+
+def test_oversized_expression_fails_at_once():
+    # timed in the child, so interpreter start-up does not count
+    proc = run_python("-c", "import sys, time; from ramseykit.cli import main; t = time.perf_counter(); "
+                      "code = main(['classify', '100000000K2', 'S3']); print(time.perf_counter() - t); "
+                      "sys.exit(code)")
+    assert proc.returncode == 1, proc.stderr
+    assert float(proc.stdout) < 1
+    assert "1024" in proc.stderr
+
+
+def test_witnesses_use_the_input_labels(capsys):
+    K3, M2 = build_from_text("K3"), build_from_text("2K2")
+    F = build_from_text("K1+K3")
+    doc = run_json(capsys, "arrow", "K1+K3", "K3", "K3")
+    assert doc["arrows"] is False
+    coloring = EdgeColoring(F, {tuple(w["edge"]): w["color"] for w in doc["witness"]})
+    assert set(coloring.assignment) <= set(F.edges())
+    assert coloring.is_good(K3, K3)
+
+    F = build_from_text("K1+C5")
+    doc = run_json(capsys, "minimal", "K1+C5", "2K2", "2K2")
+    assert doc["is_minimal"] is True
+    assert {tuple(item["edge"]) for item in doc["per_edge"]} == set(F.edges())
+    for item in doc["per_edge"]:
+        host = F.delete_edge(*item["edge"])
+        coloring = EdgeColoring(host, {tuple(w["edge"]): w["color"] for w in item["good_coloring"]})
+        assert set(coloring.assignment) <= set(F.edges())
+        assert coloring.is_good(M2, M2)

@@ -1,5 +1,8 @@
+import tracemalloc
+
 import pytest
 
+from oracles import naive_classes_no_isolated_upto
 from ramseykit import (
     Complete,
     Cycle,
@@ -12,6 +15,7 @@ from ramseykit import (
     build_from_text,
     certificate,
     components,
+    contains_copy,
     parse_spec,
 )
 from ramseykit.graphs import VertexCapError
@@ -114,11 +118,36 @@ def test_parse_or_build_rejects(bad):
         build_from_text(bad)
 
 
+def test_has_cycle_matches_cycle_containment():
+    cycles = {k: build(Cycle(k)) for k in range(3, 7)}
+    for core in naive_classes_no_isolated_upto(5):
+        for g in (core, core.disjoint_union(Graph.empty(1))):
+            want = any(contains_copy(g, cycles[k]) is not None for k in range(3, g.n + 1))
+            assert g.has_cycle() == want, g.edges()
+
+
+def test_vertex_limit_is_checked_before_building():
+    # a build that made its edge list first would pass 100 MB here
+    tracemalloc.start()
+    try:
+        for text in ("1000000K2", "2000K2", "1000000S3", "S1000000", "K1000000", "P1000000+K2"):
+            with pytest.raises(VertexCapError, match="1024"):
+                build_from_text(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
+    assert build_from_text("512K2").n == 1024
+    with pytest.raises(VertexCapError):
+        build_from_text("512K2+K1")
+
+
 def test_vertex_cap():
     with pytest.raises(VertexCapError):
-        Graph.from_edges(65, [])
-    # configurable
-    assert Graph.from_edges(65, [], cap=128).n == 65
+        Graph.from_edges(1025, ())
+    with pytest.raises(VertexCapError):
+        Graph(1025, (0,) * 1025)
+    assert Graph.from_edges(65, ()).n == 65
 
 
 def test_adjacency_validation():
