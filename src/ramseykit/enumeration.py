@@ -14,18 +14,24 @@ keeps its first member in the order all extensions would be tried in, and
 the others are isomorphic to it, so a later one could only have found its
 class in the table already: the order in which classes are emitted is the
 same as when every extension is canonicalized.
+
+A catalog does not grow a candidate that arrows or contains a member,
+since every proper supergraph F' of an arrowing F is not minimal (F' - e
+still arrows for an edge e outside F). Graphs with no arrowing proper
+subgraph are closed under taking subgraphs, so each one-edge deletion of a
+minimal graph is grown and reaches it, and no member is lost.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from .arrowing import DEFAULT_NODE_BUDGET, MinimalityReport, contains_copy, is_ramsey_minimal
 from .canon import canonical_form
 from .density import m2_pair, rho
 from .graph6 import emit_graph6
-from .graphs import DEFAULT_VERTEX_CAP, Graph
+from .graphs import DEFAULT_VERTEX_CAP, Graph, check_targets
 
 
 @dataclass(frozen=True)
@@ -89,10 +95,19 @@ def _extensions(rep: Graph, gens: tuple, bounds: SearchBounds) -> Iterator[Graph
         yield Graph._trusted(n + 2, adj + (0, 0)).add_edge(n, n + 1)
 
 
-def enumerate_graphs(bounds: SearchBounds) -> Iterator[Graph]:
+def enumerate_graphs(
+    bounds: SearchBounds, grow: Optional[Callable[[Graph], bool]] = None
+) -> Iterator[Graph]:
     """All isomorphism classes with no isolated vertices, at most
     max_vertices vertices and max_edges edges, each exactly once, in
-    nondecreasing edge count. Canonical representatives are emitted."""
+    nondecreasing edge count. Canonical representatives are emitted.
+
+    With `grow`, a representative g is extended only if grow(g) is true,
+    asked after g has been yielded and the generator resumed. A class is
+    then emitted if it is K2 or one of its one-edge deletions (isolated
+    vertices dropped) is emitted and accepted; when the accepted graphs
+    are closed under taking subgraphs, every one of them is emitted, in
+    the same relative order as without `grow`."""
     if bounds.max_vertices < 2 or bounds.max_edges < 1:
         return
     k2 = Graph.from_edges(2, [(0, 1)])
@@ -102,6 +117,8 @@ def enumerate_graphs(bounds: SearchBounds) -> Iterator[Graph]:
     for _ in range(1, bounds.max_edges):
         nxt: Dict[bytes, Tuple[Graph, tuple]] = {}  # insertion-ordered, by certificate
         for g, gens in level:
+            if grow is not None and not grow(g):
+                continue
             for child in _extensions(g, gens, bounds):
                 form = canonical_form(child)
                 if form.certificate not in nxt:
@@ -163,17 +180,27 @@ def enumerate_ramsey_minimal(G: Graph, H: Graph, bounds: SearchBounds) -> Minima
     member is skipped, since it arrows but cannot be minimal. Each other
     candidate gets one `is_ramsey_minimal` call, which proves it arrows
     and then searches every single-edge deletion; a candidate with no copy
-    of G or of H is settled at once by the search's first step."""
+    of G or of H is settled at once by the search's first step.
+
+    A candidate proven to arrow, or skipped, is not grown: a proper
+    supergraph F' of an arrowing F is not minimal, since F' - e still
+    arrows for any edge e outside F. Every one-edge deletion of a minimal
+    graph has no arrowing subgraph, so it is grown and no member is lost."""
+    check_targets(G, H)
     budget = bounds.node_budget
     members: List[CatalogMember] = []
     complete = True
-    for F in enumerate_graphs(bounds):
+    closed = set()  # yielded graphs that arrow; by value, as Graph hashes (n, adj)
+    for F in enumerate_graphs(bounds, grow=lambda g: g not in closed):
         if any(
             m.graph.edge_count < F.edge_count and contains_copy(F, m.graph) is not None
             for m in members
         ):
+            closed.add(F)
             continue
         report = is_ramsey_minimal(F, G, H, budget=budget)
+        if report.is_ramsey:
+            closed.add(F)
         if report.is_minimal is None:
             complete = False
         elif report.is_minimal:

@@ -224,34 +224,35 @@ def check_targets(G: Graph, H: Graph) -> None:
 
 @dataclass(frozen=True)
 class ComponentInfo:
-    graph: Graph
     kind: str  # "isolated" | "K2" | "star" | "tree" | "cyclic"
     star_size: Optional[int] = None
     odd: Optional[bool] = None
 
 
-def classify_component(c: Graph) -> ComponentInfo:
-    """Tag a connected graph as K2 / star (r>=2) / non-star tree / cyclic.
-
-    The four kinds are exhaustive and mutually exclusive for connected
-    graphs with at least one edge; a bare vertex is tagged "isolated".
-    """
-    if c.edge_count == 0:
-        return ComponentInfo(c, "isolated")
-    if c.edge_count == 1:
-        return ComponentInfo(c, "K2")
-    if c.edge_count >= c.n:
-        return ComponentInfo(c, "cyclic")
-    # acyclic connected with >= 2 edges: star iff some vertex meets every edge
-    maxdeg = max(c.degree(v) for v in range(c.n))
-    if maxdeg == c.edge_count:
-        r = c.edge_count
-        return ComponentInfo(c, "star", star_size=r, odd=bool(r % 2))
-    return ComponentInfo(c, "tree")
-
-
 def components(g: Graph) -> list:
-    return [classify_component(g.induced(vs)) for vs in g.connected_components()]
+    """Tag each connected component of g, in `connected_components` order,
+    as K2 / star (r>=2) / non-star tree / cyclic, or a bare vertex as
+    "isolated"; the kinds are exhaustive and mutually exclusive.
+
+    Read from each vertex set and g's degrees, with no subgraph built: a
+    component has half its degree sum in edges, and an acyclic one with at
+    least two edges is a star iff its maximum degree equals its edge count.
+    """
+    out = []
+    for vs in g.connected_components():
+        degrees = [g.adj[v].bit_count() for v in vs]
+        m = sum(degrees) // 2
+        if m == 0:
+            out.append(ComponentInfo("isolated"))
+        elif m == 1:
+            out.append(ComponentInfo("K2"))
+        elif m >= len(vs):
+            out.append(ComponentInfo("cyclic"))
+        elif max(degrees) == m:
+            out.append(ComponentInfo("star", star_size=m, odd=bool(m % 2)))
+        else:
+            out.append(ComponentInfo("tree"))
+    return out
 
 
 # ---------------------------------------------------------------------------

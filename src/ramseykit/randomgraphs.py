@@ -21,7 +21,7 @@ from typing import List, Sequence
 
 from .arrowing import DEFAULT_NODE_BUDGET, arrows
 from .density import _edge_probability, m2_pair
-from .graphs import Graph
+from .graphs import Graph, check_targets
 
 DEFAULT_MAX_N = 24
 DEFAULT_MAX_SAMPLES = 1000
@@ -38,6 +38,7 @@ class ExperimentConfig:
     node_budget: int = DEFAULT_NODE_BUDGET
 
     def __post_init__(self):
+        check_targets(self.G, self.H)
         if self.samples < 1:
             raise ValueError("samples must be at least 1")
         if self.samples > DEFAULT_MAX_SAMPLES:

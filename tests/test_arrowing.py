@@ -10,6 +10,7 @@ from ramseykit import (
     certificate,
     contains_copy,
     enumerate_graphs,
+    enumerate_ramsey_minimal,
     find_good_coloring,
     is_ramsey_minimal,
     naive_arrows,
@@ -61,7 +62,10 @@ def test_matching_good_coloring():
 
 
 def test_targets_need_an_edge():
-    for call in (find_good_coloring, arrows, is_ramsey_minimal, naive_arrows):
+    def catalog(F, G, H):  # bounds with no candidate: only the target check can raise
+        return enumerate_ramsey_minimal(G, H, SearchBounds(1, 1))
+
+    for call in (find_good_coloring, arrows, is_ramsey_minimal, naive_arrows, catalog):
         with pytest.raises(ValueError):
             call(b("K3"), b("K2"), build_from_text("0K2"))
         with pytest.raises(ValueError):

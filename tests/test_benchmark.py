@@ -24,7 +24,8 @@ def test_traced_workload_runs_and_is_correct(workload):
     if workload == "exact":
         assert metrics["arrowing.calls"] > 0
     else:
-        assert metrics["enumeration.candidates"] == 1500
+        # graphs that arrow or contain a member are not grown
+        assert metrics["enumeration.candidates"] == 343
         assert metrics["enumeration.members"] == 2
-        # one extension per Aut-orbit, each canonical labeling still traced
-        assert 0 < metrics["canon.calls"] <= 9500
+        # one extension per Aut-orbit of a grown graph, each labeling traced
+        assert 0 < metrics["canon.calls"] <= 600

@@ -6,7 +6,8 @@ import sys
 
 import pytest
 
-from ramseykit import EdgeColoring, Graph, build_from_text, emit_graph6, parse_graph6
+from ramseykit import EdgeColoring, Graph, build_from_text, certificate, emit_graph6, parse_graph6
+from ramseykit import randomgraphs
 from ramseykit.cli import main, parse_graph_argument
 
 
@@ -84,6 +85,25 @@ def test_classify_subcommand(capsys):
 def test_enumerate_subcommand(capsys):
     doc = run_json(capsys, "enumerate", "K2", "K2", "--max-v", "4", "--max-e", "4")
     assert [m["graph6"] for m in doc["members"]] == ["A_"]
+
+
+def test_enumerate_catalog_at_ten_vertices_twelve_edges(capsys):
+    doc = run_json(capsys, "enumerate", "2K2", "2K2", "--max-v", "10", "--max-e", "12")
+    got = sorted(certificate(parse_graph6(m["graph6"])) for m in doc["members"])
+    assert got == sorted(certificate(build_from_text(x)) for x in ("3K2", "C5"))
+    assert doc["completeness"] == "complete within bounds"
+
+
+def test_enumerate_and_threshold_reject_bad_targets(capsys, monkeypatch):
+    code, out, err = run_cli(capsys, "enumerate", "K2+K1", "K2", "--max-v", "1", "--max-e", "1")
+    assert (code, out) == (1, "")
+    assert "isolated" in err
+    drawn = []
+    monkeypatch.setattr(randomgraphs, "edge_uniforms", lambda *a: drawn.append(a))
+    code, out, err = run_cli(capsys, "threshold", "K3+K1", "K3", "--n", "8", "--c", "1", "--samples", "1")
+    assert (code, out) == (1, "")
+    assert "isolated" in err
+    assert drawn == []
 
 
 def test_threshold_subcommand_and_determinism(capsys):

@@ -1,12 +1,14 @@
 import hashlib
 import sys
-from itertools import product
+from itertools import combinations_with_replacement
 
 import pytest
 
 from oracles import burnside_counts_by_edges, naive_classes_no_isolated_upto
-from ramseykit import arrowing
+from ramseykit import arrowing, enumeration
 from ramseykit import (
+    MinimalCatalog,
+    MinimalityReport,
     SearchBounds,
     build_from_text,
     catalog_density_audit,
@@ -15,8 +17,10 @@ from ramseykit import (
     emit_graph6,
     enumerate_graphs,
     enumerate_ramsey_minimal,
+    is_ramsey_minimal,
     naive_arrows,
 )
+from ramseykit.enumeration import CatalogMember
 
 b = build_from_text
 
@@ -156,3 +160,81 @@ def test_catalog_document():
     assert doc["completeness"] == "complete within bounds"
     assert doc["members"][0]["graph6"] == "A_"
     assert doc["bounds"]["max_vertices"] == 4
+
+
+def _has_triangle(g):
+    return any(g.adj[u] & g.adj[v] for u, v in g.edges())
+
+
+def test_enumerate_graphs_honours_grow():
+    bounds = SearchBounds(7, 8)
+    full = list(enumerate_graphs(bounds))
+    yielded, asked = [], []
+
+    def grow(g):
+        # asked only about a graph the caller has already received
+        assert g in yielded
+        asked.append(g)
+        return not _has_triangle(g)
+
+    for g in enumerate_graphs(bounds, grow=grow):
+        yielded.append(g)
+    assert asked
+    # triangle-freeness is closed under subgraphs: those classes all survive, in order
+    free = [certificate(g) for g in full if not _has_triangle(g)]
+    assert [certificate(g) for g in yielded if not _has_triangle(g)] == free
+
+    def grown_parent(g):
+        return g.edge_count == 1 or any(
+            not _has_triangle(g.delete_edge(u, v).without_isolated()) for u, v in g.edges()
+        )
+
+    assert all(grown_parent(g) for g in yielded)
+    assert {certificate(g) for g in yielded} == {certificate(g) for g in full if grown_parent(g)}
+    assert len(yielded) < len(full)
+
+
+def _unpruned_catalog(G, H, bounds):
+    """The catalog from every class within the bounds, with only the
+    containment pre-filter."""
+    members, complete = [], True
+    for F in enumerate_graphs(bounds):
+        if any(
+            m.graph.edge_count < F.edge_count and contains_copy(F, m.graph) is not None
+            for m in members
+        ):
+            continue
+        report = is_ramsey_minimal(F, G, H, budget=bounds.node_budget)
+        if report.is_minimal is None:
+            complete = False
+        elif report.is_minimal:
+            members.append(CatalogMember(F, report))
+    return MinimalCatalog((G, H), bounds, members, complete)
+
+
+def test_candidates_with_unknown_verdicts_are_still_grown(monkeypatch):
+    # only a proof of arrowing stops growth: an unknown graph may lie below a member
+    real = enumeration.is_ramsey_minimal
+
+    def unknown_up_to_two_edges(F, G, H, budget):
+        if F.edge_count <= 2:
+            return MinimalityReport(None, {}, None)
+        return real(F, G, H, budget=budget)
+
+    monkeypatch.setattr(enumeration, "is_ramsey_minimal", unknown_up_to_two_edges)
+    cat = enumerate_ramsey_minimal(b("2K2"), b("2K2"), SearchBounds(6, 6))
+    assert {certificate(g) for g in cat.member_graphs()} == {certificate(b("3K2")), certificate(b("C5"))}
+    assert cat.completeness == "budget-limited"
+
+
+@pytest.mark.parametrize("bounds", [SearchBounds(6, 7), SearchBounds(6, 8, node_budget=5)])
+def test_pruned_catalog_matches_unpruned_reference(bounds):
+    names = ["K2", "2K2", "3K2", "P3", "K3", "S3", "C4", "K2+P3"]
+    limited = 0
+    for g, h in combinations_with_replacement(names, 2):
+        G, H = b(g), b(h)
+        expected = _unpruned_catalog(G, H, bounds).to_document()
+        assert enumerate_ramsey_minimal(G, H, bounds).to_document() == expected, (g, h)
+        limited += expected["completeness"] == "budget-limited"
+    # the budget-limited setting does leave some catalogs incomplete
+    assert (limited > 0) == (bounds.node_budget == 5)

@@ -10,12 +10,14 @@ from ramseykit import (
     Graph,
     Matching,
     Path,
+    SearchBounds,
     Star,
     build,
     build_from_text,
     certificate,
     components,
     contains_copy,
+    enumerate_graphs,
     parse_spec,
 )
 from ramseykit.graphs import VertexCapError
@@ -101,6 +103,29 @@ def test_components_recover_spec_primitives():
     infos = components(g)
     assert sum(1 for c in infos if c.kind == "K2") == 3
     assert sorted(c.star_size for c in infos if c.kind == "star") == [2, 5]
+
+
+def _kind_of_induced(c):
+    # the definition, on the component built as a graph of its own
+    m = c.edge_count
+    if m == 0:
+        return ("isolated", None, None)
+    if m == 1:
+        return ("K2", None, None)
+    if m >= c.n:
+        return ("cyclic", None, None)
+    if max(c.degree(v) for v in range(c.n)) == m:
+        return ("star", m, bool(m % 2))
+    return ("tree", None, None)
+
+
+def test_components_match_the_induced_definition():
+    hosts = [build_from_text("S3+122K2")]
+    for g in enumerate_graphs(SearchBounds(7, 7)):
+        hosts += [g, g.disjoint_union(Graph.empty(2)), Graph.empty(1).disjoint_union(g)]
+    for g in hosts:
+        want = [_kind_of_induced(g.induced(vs)) for vs in g.connected_components()]
+        assert [(c.kind, c.star_size, c.odd) for c in components(g)] == want
 
 
 def test_parse_spec_forms():

@@ -43,6 +43,8 @@ def test_config_validation():
         ExperimentConfig(K3, K3, (10,), (-1.0,), 5, 0)  # bad c
     with pytest.raises(ValueError):
         ExperimentConfig(K3, K3, (25,), (1.0,), 5, 0)  # beyond desk scale
+    with pytest.raises(ValueError, match="isolated"):
+        ExperimentConfig(b("K3+K1"), K3, (8,), (1.0,), 1, 0)  # target with an isolated vertex
 
 
 def _small_config(**kw):
