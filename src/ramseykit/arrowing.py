@@ -2,20 +2,27 @@
 copy of G or a blue copy of H?
 
 The decision works on the copy hypergraph of F. Every copy of G and of H
-in F is listed once, as a bitmask over the edges of F in a fixed order
-(descending endpoint degree sum). A coloring is good exactly when every
-G-copy has a blue edge and every H-copy has a red edge. If F has no G-copy
-the all-red coloring is good, and if it has no H-copy the all-blue one is;
-both exits come before any per-edge bookkeeping.
+in F is listed once, by its vertex images, from F's degrees computed once
+per host. A coloring is good exactly when every G-copy has a blue edge and
+every H-copy has a red edge. If F has no G-copy the all-red coloring is
+good, and if it has no H-copy the all-blue one is; both exits come before
+any per-edge bookkeeping.
 
-Otherwise an explicit-stack search colors the lowest free edge red, then
-blue, with unit propagation: a G-copy with no blue edge and one uncolored
-edge left forces that edge blue, an H-copy with no red edge and one
-uncolored edge left forces it red, and a G-copy gone all red or an H-copy
-gone all blue is a conflict that backtracks. Edges in no copy never take a
-decision and end red. When G and H have the same copies in F (in
-particular when G and H are isomorphic) the good colorings are closed under
-swapping the colors, so the first decision is red only.
+Otherwise the copies are indexed in one pass. The edges of F take bits in
+a fixed order (descending endpoint degree sum), looked up in a flat table
+indexed u * n + v. One loop over each copy list turns every copy into its
+edge bitmask and files it under each of its edges. G and H have the same
+copies in every host exactly when they are isomorphic. Then H's copies are
+not listed again, and one index serves both colors.
+
+An explicit-stack search colors the lowest free edge red, then blue, with
+unit propagation: a G-copy with no blue edge and one uncolored edge left
+forces that edge blue, an H-copy with no red edge and one uncolored edge
+left forces it red, and a G-copy gone all red or an H-copy gone all blue is
+a conflict that backtracks. Only a one-edge target forces anything before
+the first decision. Edges in no copy never take a decision and end red.
+When G and H are isomorphic the good colorings are closed under swapping
+the colors, so the first decision is red only.
 
 `nodes` counts the copies listed plus the color decisions tried; forced
 colors are free. Outcomes are three-valued: a witness coloring (no
@@ -31,6 +38,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
+from .canon import are_isomorphic
 from .graphs import DEFAULT_VERTEX_CAP, Graph, VertexCapError, check_targets
 
 RED = "red"
@@ -121,17 +129,17 @@ def contains_copy(host: Graph, pattern: Graph) -> Optional[Dict[int, int]]:
 # Copy enumeration
 
 
-def _embeddings(adj, n, anchors, need, above, prefix, limit) -> List[tuple]:
+def _embeddings(adj, n, degs, anchors, need, above, prefix, limit) -> List[tuple]:
     """Every completion of the partial map `prefix` (pattern position ->
     host vertex) to an injective map where position i goes to a vertex of
-    degree >= need[i] adjacent to the images of anchors[i] and above the
-    images of above[i]. Stops after limit + 1 completions."""
+    degree >= need[i] (host degrees `degs`) adjacent to the images of
+    anchors[i] and above the images of above[i]. Stops after limit + 1
+    completions."""
     k = len(need)
     start = len(prefix)
     img = list(prefix) + [0] * (k - start)
     if start == k:
         return [tuple(img)]
-    degs = [row.bit_count() for row in adj]
     fit = {d: sum(1 << v for v in range(n) if degs[v] >= d) for d in set(need[start:])}
     fit = [fit.get(d, 0) for d in need]  # vertices of enough degree, per position
     used = [0] * (k + 1)  # used[i]: images of positions before i
@@ -193,20 +201,38 @@ def _copy_plan(pattern: Graph):
         for w in range(i + 1, k):
             if need[w] != need[i] or not all(core.has_edge(j, w) for j in anchors[i]):
                 continue
-            # an automorphism fixing 0..i-1 and sending i to w?
-            if _embeddings(core.adj, k, anchors, need, no_order, tuple(range(i)) + (w,), 0):
+            # an automorphism fixing 0..i-1 and sending i to w? (need is
+            # also core's degree list)
+            if _embeddings(core.adj, k, need, anchors, need, no_order, tuple(range(i)) + (w,), 0):
                 above[w].append(i)
     return anchors, need, tuple(tuple(a) for a in above), tuple(core.edges())
 
 
-def _copies(F: Graph, pattern: Graph, limit: int) -> List[tuple]:
+def _copies(F: Graph, degs: List[int], pattern: Graph, limit: int) -> List[tuple]:
     """Vertex images (in plan position order) of the copies of `pattern`
-    in F, one per copy; limit + 1 of them means there are more than
-    `limit`."""
+    in F, whose vertex degrees are `degs`, one per copy; limit + 1 of them
+    means there are more than `limit`."""
     if pattern.n > F.n:
         return []
     anchors, need, above, _ = _copy_plan(pattern)
-    return _embeddings(F.adj, F.n, anchors, need, above, (), limit)
+    return _embeddings(F.adj, F.n, degs, anchors, need, above, (), limit)
+
+
+def _index(imgs: List[tuple], pattern: Graph, ebit: List[int], n: int, through: List[list]) -> int:
+    """Append the edge mask of each copy in `imgs` to `through[e]` for
+    every edge e it uses, where `ebit[u * n + v]` is the bit of edge uv.
+    Returns the union of the masks."""
+    pedges = _copy_plan(pattern)[3]
+    live = 0
+    for img in imgs:
+        bits = []
+        for a, b in pedges:
+            bits.append(ebit[img[a] * n + img[b]])
+        c = sum(bits)
+        live |= c
+        for bit in bits:
+            through[bit.bit_length() - 1].append(c)
+    return live
 
 
 # ---------------------------------------------------------------------------
@@ -319,67 +345,54 @@ def find_good_coloring(
 
 def _search(F: Graph, G: Graph, H: Graph, budget: int):
     """(arrows, witness, nodes) of the search behind `find_good_coloring`."""
+    n = F.n
+    degs = [row.bit_count() for row in F.adj]
     limit = min(budget, MAX_COPIES)
-    g_imgs = _copies(F, G, limit)
+    g_imgs = _copies(F, degs, G, limit)
     if not g_imgs:
         return False, _monochrome(F, RED), 0
     if len(g_imgs) > limit:
         # Too many G-copies to list; only a missing H-copy still decides.
-        if _copies(F, H, 0):
+        if _copies(F, degs, H, 0):
             return None, None, limit
         return False, _monochrome(F, BLUE), limit
     nodes = len(g_imgs)
-    if H == G:
-        h_imgs = g_imgs
-    else:
+    # Targets without isolated vertices have the same copies in every host
+    # exactly when they are isomorphic.
+    swap = H == G or (G.n == H.n and G.edge_count == H.edge_count and are_isomorphic(G, H))
+    if not swap:
         limit = min(budget - nodes, MAX_COPIES)
-        h_imgs = _copies(F, H, limit)
+        h_imgs = _copies(F, degs, H, limit)
         if not h_imgs:
             return False, _monochrome(F, BLUE), nodes
         if len(h_imgs) > limit:
             return None, None, nodes + limit
         nodes += len(h_imgs)
 
-    degs = [row.bit_count() for row in F.adj]
     edges = sorted(F.edges(), key=lambda e: -(degs[e[0]] + degs[e[1]]))
-    bit = {}
-    for i, (u, v) in enumerate(edges):
-        bit[u, v] = bit[v, u] = 1 << i
-
-    def masks(imgs, pattern):
-        pedges = _copy_plan(pattern)[3]
-        return [sum(bit[img[a], img[b]] for a, b in pedges) for img in imgs]
-
-    g_masks = masks(g_imgs, G)
-    h_masks = g_masks if h_imgs is g_imgs else masks(h_imgs, H)
-    swap = h_masks is g_masks or (len(g_masks) == len(h_masks) and set(g_masks) == set(h_masks))
-
     m = len(edges)
+    ebit = [0] * (n * n)
+    for i, (u, v) in enumerate(edges):
+        ebit[u * n + v] = ebit[v * n + u] = 1 << i
     g_through: List[list] = [[] for _ in range(m)]
-    h_through: List[list] = [[] for _ in range(m)]
-    live = red = blue = 0
-    for copies, through in ((g_masks, g_through), (h_masks, h_through)):
-        for c in copies:
-            live |= c
-            rest = c
-            while rest:
-                low = rest & -rest
-                through[low.bit_length() - 1].append(c)
-                rest ^= low
-    # single-edge copies force their edge at the root
-    for c in g_masks:
-        if not c & (c - 1):
-            blue |= c
-    for c in h_masks:
-        if not c & (c - 1):
-            red |= c
-    state = None
-    if not red & blue:
-        forced = red | blue
-        state = _propagate(red, blue, [e for e in range(m) if forced >> e & 1], g_through, h_through)
-    if state is None:
-        return True, None, nodes
-    red, blue = state
+    g_live = _index(g_imgs, G, ebit, n, g_through)
+    if swap:
+        h_through, h_live = g_through, g_live
+    else:
+        h_through = [[] for _ in range(m)]
+        h_live = _index(h_imgs, H, ebit, n, h_through)
+    live = g_live | h_live
+    # a one-edge target makes every copy a single edge, forced at the root
+    blue = g_live if G.edge_count == 1 else 0
+    red = h_live if H.edge_count == 1 else 0
+    forced = red | blue
+    if forced:
+        state = None if red & blue else _propagate(
+            red, blue, [e for e in range(m) if forced >> e & 1], g_through, h_through
+        )
+        if state is None:
+            return True, None, nodes
+        red, blue = state
 
     stack = []  # (red, blue, edge) of each red decision whose blue branch is open
     first = True

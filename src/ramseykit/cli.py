@@ -176,6 +176,13 @@ def _cmd_enumerate(args) -> int:
     return 0
 
 
+def _c_value(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"c value {text!r} has a zero denominator") from None
+
+
 def _cmd_threshold(args) -> int:
     G = parse_graph_argument(args.G)
     H = parse_graph_argument(args.H)
@@ -184,20 +191,24 @@ def _cmd_threshold(args) -> int:
             G=G,
             H=H,
             n_values=tuple(int(x) for x in args.n.split(",")),
-            c_values=tuple(Fraction(x) for x in args.c.split(",")),
+            c_values=tuple(_c_value(x) for x in args.c.split(",")),
             samples=args.samples,
             seed=args.seed,
             node_budget=args.budget,
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    results = run_experiment(config)
-    csv_text = results_to_csv(results, config.seed)
-    if args.output:
-        with open(args.output, "w") as f:
-            f.write(csv_text)
-    else:
-        sys.stdout.write(csv_text)
+    out = sys.stdout
+    if args.output:  # opened before the run, so a bad path costs no experiment
+        try:
+            out = open(args.output, "w")
+        except OSError as exc:
+            raise UsageError(f"cannot write {args.output!r}: {exc.strerror}") from exc
+    try:
+        out.write(results_to_csv(run_experiment(config), config.seed))
+    finally:
+        if out is not sys.stdout:
+            out.close()
     return 0
 
 

@@ -175,7 +175,11 @@ def _edge_probability(d: Fraction, n: int, c) -> float:
     c = Fraction(c)
     if c <= 0:
         raise ValueError("c must be positive")
-    p = float(c) * float(n) ** (-1.0 / float(d))
+    scale = float(n) ** (-1.0 / float(d))
+    try:
+        p = float(c) * scale
+    except OverflowError:  # c >= 2^1024 > n >= n^(1/d), as pair densities are >= 1
+        return 1.0
     return min(1.0, max(0.0, p))
 
 

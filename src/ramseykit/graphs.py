@@ -59,8 +59,8 @@ class Graph:
 
     @classmethod
     def _trusted(cls, n: int, adj: tuple) -> "Graph":
-        """Build without validation; only for results derived from a valid
-        Graph, which are valid by construction."""
+        """Build without validation; only for rows that are valid by
+        construction, such as those derived from a valid Graph."""
         g = object.__new__(cls)
         object.__setattr__(g, "n", n)
         object.__setattr__(g, "adj", adj)
@@ -149,14 +149,28 @@ class Graph:
 
     def induced(self, vertices) -> "Graph":
         """Induced subgraph on the given vertices, relabeled 0..k-1 in
-        ascending original order."""
+        ascending original order. Each row is compressed one run of
+        consecutive kept labels at a time, so the work is k times the
+        number of runs (one run when only trailing vertices are dropped)."""
         vs = sorted(set(vertices))
-        kept = set(vs)
-        rows = [self.adj[v] for v in vs]
-        for r in range(self.n - 1, -1, -1):
-            if r not in kept:  # drop bit r, shifting the higher bits down
-                low = (1 << r) - 1
-                rows = [(row & low) | (row >> 1 & ~low) for row in rows]
+        if vs and not (0 <= vs[0] and vs[-1] < self.n):
+            raise ValueError(f"vertices must lie in 0..{self.n - 1}")
+        if len(vs) == self.n:
+            return self
+        masks, shifts = [], []  # per run: its labels, and how many labels below it are dropped
+        for i, v in enumerate(vs):
+            if i and v == vs[i - 1] + 1:
+                masks[-1] |= 1 << v
+            else:
+                masks.append(1 << v)
+                shifts.append(v - i)
+        runs = list(zip(masks, shifts))
+        rows = []
+        for v in vs:
+            row, out = self.adj[v], 0
+            for mask, shift in runs:
+                out |= (row & mask) >> shift
+            rows.append(out)
         return Graph._trusted(len(rows), tuple(rows))
 
     def disjoint_union(self, other: "Graph") -> "Graph":

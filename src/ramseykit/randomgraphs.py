@@ -21,7 +21,7 @@ from typing import List, Sequence
 
 from .arrowing import DEFAULT_NODE_BUDGET, arrows
 from .density import _edge_probability, m2_pair
-from .graphs import Graph, check_targets
+from .graphs import Graph, check_targets, check_vertex_count
 
 DEFAULT_MAX_N = 24
 DEFAULT_MAX_SAMPLES = 1000
@@ -52,6 +52,10 @@ class ExperimentConfig:
         for c in self.c_values:
             if Fraction(c) <= 0:
                 raise ValueError("c values must be positive")
+            try:
+                float(Fraction(c))
+            except OverflowError:
+                raise ValueError("c values must have a finite float value (below 2^1024)") from None
 
 
 @dataclass
@@ -84,14 +88,18 @@ def edge_uniforms(seed: int, n: int, sample_index: int) -> List[float]:
 
 
 def graph_from_uniforms(n: int, p: float, uniforms: Sequence[float]) -> Graph:
-    edges = []
+    """The graph on n vertices whose pair uv (u < v, in lexicographic order)
+    is an edge when its uniform is below p."""
+    check_vertex_count(n)
+    adj = [0] * n
     k = 0
     for u in range(n):
         for v in range(u + 1, n):
             if uniforms[k] < p:
-                edges.append((u, v))
+                adj[u] |= 1 << v
+                adj[v] |= 1 << u
             k += 1
-    return Graph.from_edges(n, edges)
+    return Graph._trusted(n, tuple(adj))
 
 
 def sample_gnp(n: int, p: float, seed: int = 0, sample_index: int = 0) -> Graph:

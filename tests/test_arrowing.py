@@ -1,3 +1,5 @@
+import hashlib
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -15,9 +17,11 @@ from ramseykit import (
     is_ramsey_minimal,
     naive_arrows,
     ramsey_number_complete,
+    threshold_p,
 )
 from ramseykit.arrowing import UnknownVerdictError
 from ramseykit.graphs import VertexCapError
+from ramseykit.randomgraphs import edge_uniforms, graph_from_uniforms
 
 b = build_from_text
 
@@ -271,3 +275,41 @@ def test_host_vertex_cap_is_enforced():
             call(F, b("K2"), b("K2"))
     # isolated vertices do not count against the cap
     assert arrows(b("K6").disjoint_union(Graph.empty(70)), b("K3"), b("K3")).arrows is True
+
+
+def _search_digest(questions):
+    lines = []
+    for F, G, H in questions:
+        v = arrows(F, G, H)
+        w = None if v.witness is None else sorted(v.witness.assignment.items())
+        lines.append(repr((v.arrows, v.nodes, w)))
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16]
+
+
+def test_search_work_and_witnesses_are_pinned():
+    # the verdict, the node count and the witness of every search at once:
+    # a change to the edge, copy or decision order shows here
+    K3 = b("K3")
+    threshold_hosts = [
+        (graph_from_uniforms(8, threshold_p(K3, K3, 8, c), edge_uniforms(1, 8, i)), K3, K3)
+        for c in (Fraction(1, 5), Fraction(1, 2), 1, 2)
+        for i in range(300)
+    ]
+    assert _search_digest(threshold_hosts) == "b009e85c1d0caf64"
+    assert arrows(b("K9"), K3, b("K4")).nodes == 39336
+    assert _search_digest([(b("K9"), K3, b("K4"))]) == "75346f74a3e7ba1d"
+    asymmetric = [(b(f), b(g), K3) for g in ("C4", "2K2") for f in ("K4", "K6", "K7")]
+    assert _search_digest(asymmetric) == "c221de4c26e4a79a"
+
+
+@pytest.mark.parametrize("name", ["P3", "2K2", "K3+K2"])
+def test_swap_with_unequal_isomorphic_targets(name):
+    # H != G but with the same copies in every host: the search still takes
+    # only the red first decision, so its work matches the H == G run
+    G = b(name)
+    H = G.relabel([(v + 1) % G.n for v in range(G.n)])
+    assert H != G
+    for F in enumerate_graphs(SearchBounds(8, 8)):
+        v = arrows(F, G, H)
+        assert v.arrows == naive_arrows(F, G, H), F.edges()
+        assert v.nodes == arrows(F, G, G).nodes, F.edges()

@@ -117,6 +117,23 @@ def test_threshold_subcommand_and_determinism(capsys):
     assert len(lines) == 3
 
 
+@pytest.mark.parametrize("c,message", [("1/0", "zero denominator"), ("1e400", "finite float")])
+def test_threshold_rejects_c_values_without_a_float(capsys, c, message):
+    code, out, err = run_cli(capsys, "threshold", "K3", "K3", "--n", "8", "--c", c, "--samples", "1")
+    assert (code, out) == (1, "")
+    assert message in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_threshold_unwritable_output_is_a_usage_error(capsys, tmp_path):
+    for path in (tmp_path / "missing" / "out.csv", tmp_path):
+        code, out, err = run_cli(capsys, "threshold", "K3", "K3", "--n", "8", "--c", "1",
+                                 "--samples", "1", "--output", str(path))
+        assert (code, out) == (1, "")
+        assert "cannot write" in err
+        assert len(err.strip().splitlines()) == 1
+
+
 def test_threshold_rejects_acyclic(capsys):
     code, _, err = run_cli(capsys, "threshold", "P4", "K3", "--n", "7", "--c", "1")
     assert code == 1

@@ -97,6 +97,7 @@ def test_rho_monotone_under_subgraphs():
 def test_threshold_p():
     assert threshold_p(b("K3"), b("K3"), 100, 1) == pytest.approx(0.1)
     assert threshold_p(b("K3"), b("K3"), 4, Fraction(100)) == 1.0  # clamped
+    assert threshold_p(b("K3"), b("K3"), 8, 10**400) == 1.0  # clamped, though c is no float
     with pytest.raises(ValueError):
         threshold_p(b("K3"), b("K3"), 1, 1)
     with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import random
 import tracemalloc
 
 import pytest
@@ -204,6 +205,24 @@ def test_disjoint_union_counts():
 def test_malformed_graph_still_raises(n, adj):
     with pytest.raises(ValueError):
         Graph(n, adj)
+
+
+def test_induced_matches_brute_force():
+    rng = random.Random(3)
+    for n in list(range(9)) + [16, 33, 64]:
+        for density in (0.1, 0.5, 0.9):
+            g = Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < density])
+            for kept in ([], list(range(n)), rng.sample(range(n), rng.randint(0, n))):
+                pos = {v: i for i, v in enumerate(sorted(kept))}
+                want = Graph.from_edges(
+                    len(pos), [(pos[u], pos[v]) for u, v in g.edges() if u in pos and v in pos]
+                )
+                got = g.induced(kept)
+                assert got == want == Graph(got.n, got.adj), (n, g.edges(), kept)
+    with pytest.raises(ValueError):
+        build_from_text("K3").induced([0, 3])
+    with pytest.raises(ValueError):
+        build_from_text("K3").induced([-1])
 
 
 def test_derived_graphs_equal_validated_ones():

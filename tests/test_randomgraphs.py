@@ -1,6 +1,7 @@
 import pytest
 
-from ramseykit import ExperimentConfig, build_from_text, results_to_csv, run_experiment, sample_gnp
+from ramseykit import ExperimentConfig, Graph, build_from_text, results_to_csv, run_experiment, sample_gnp
+from ramseykit.randomgraphs import edge_uniforms, graph_from_uniforms
 
 b = build_from_text
 
@@ -26,6 +27,17 @@ def test_edge_count_mean_matches_binomial():
     assert abs(mean - 13.5) <= 3 * se
 
 
+@pytest.mark.parametrize("n", [3, 8, 12])
+def test_graph_from_uniforms_matches_edge_list(n):
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    for seed in range(5):
+        uniforms = edge_uniforms(seed, n, 0)
+        for p in (0, 0.07, 0.35, 0.71, 1):
+            want = Graph.from_edges(n, [e for e, x in zip(pairs, uniforms) if x < p])
+            got = graph_from_uniforms(n, p, uniforms)
+            assert got == want == Graph(got.n, got.adj)
+
+
 def test_sampling_reproducible():
     a = sample_gnp(12, 0.4, seed=9, sample_index=3)
     c = sample_gnp(12, 0.4, seed=9, sample_index=3)
@@ -41,6 +53,8 @@ def test_config_validation():
         ExperimentConfig(K3, K3, (10,), (1.0,), 0, 0)  # no samples
     with pytest.raises(ValueError):
         ExperimentConfig(K3, K3, (10,), (-1.0,), 5, 0)  # bad c
+    with pytest.raises(ValueError, match="finite float"):
+        ExperimentConfig(K3, K3, (10,), (10**400,), 5, 0)  # c with no float value
     with pytest.raises(ValueError):
         ExperimentConfig(K3, K3, (25,), (1.0,), 5, 0)  # beyond desk scale
     with pytest.raises(ValueError, match="isolated"):
