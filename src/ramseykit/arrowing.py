@@ -1,6 +1,12 @@
 """Arrowing decisions: does every red/blue edge coloring of F contain a red
 copy of G or a blue copy of H?
 
+Each pattern has one cached embedding plan (`_plan`), read by containment
+and by copy listing. Containment is an explicit-stack search over it for a
+first embedding, with no symmetry conditions and no code shared with the
+copy lister, so `naive_arrows` and `EdgeColoring.is_good` stay an
+independent check on the search below.
+
 The decision works on the copy hypergraph of F. Every copy of G and of H
 in F is listed once, by its vertex images, from F's degrees computed once
 per host. A coloring is good exactly when every G-copy has a blue edge and
@@ -57,72 +63,81 @@ class UnknownVerdictError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# Subgraph containment
+# Embedding plans and subgraph containment
 
 
 @lru_cache(maxsize=4096)
-def _pattern_plan(pattern: Graph):
-    """Vertex visit order for embedding search: components by descending
-    size, each entered at a max-degree vertex and traversed so every later
-    vertex sees its already-placed neighbors."""
-    comps = sorted(pattern.connected_components(), key=len, reverse=True)
+def _plan(pattern: Graph):
+    """The one embedding plan of a pattern, read by containment and by copy
+    listing. The visit order takes components by descending size and
+    always places next the vertex of the current component with the most
+    placed neighbors (ties: higher degree, then lower label), so each
+    component is entered at a max-degree vertex and every later vertex sees
+    a placed neighbor. `core` is the pattern relabeled by position (vertex
+    i is the i-th visited); anchors[i] lists the earlier positions adjacent
+    to i and need[i] is its degree. Returns (order, core, anchors, need)."""
+    adj = pattern.adj
     order = []
-    placed = set()
-    for comp in comps:
-        start = max(comp, key=pattern.degree)
-        order.append(start)
-        placed.add(start)
-        frontier = [v for v in comp if v != start]
-        while frontier:
-            nxt = max(
-                frontier,
-                key=lambda v: (sum(1 for w in pattern.neighbors(v) if w in placed), pattern.degree(v)),
-            )
-            order.append(nxt)
-            placed.add(nxt)
-            frontier.remove(nxt)
-    prev_nbrs = []
-    seen = []
-    for v in order:
-        prev_nbrs.append(tuple(w for w in seen if pattern.has_edge(v, w)))
-        seen.append(v)
-    degs = tuple(pattern.degree(v) for v in range(pattern.n))
-    return tuple(order), tuple(prev_nbrs), degs
+    placed = 0
+    for comp in sorted(pattern.connected_components(), key=len, reverse=True):
+        while comp:
+            v = max(comp, key=lambda u: ((adj[u] & placed).bit_count(), adj[u].bit_count()))
+            order.append(v)
+            placed |= 1 << v
+            comp.remove(v)
+    pos = [0] * pattern.n
+    for i, v in enumerate(order):
+        pos[v] = i
+    core = pattern.relabel(pos)
+    anchors: List[list] = [[] for _ in range(core.n)]
+    for i, j in core.edges():  # i < j
+        anchors[j].append(i)
+    need = tuple(row.bit_count() for row in core.adj)
+    return tuple(order), core, tuple(tuple(a) for a in anchors), need
 
 
-def _extend(hadj, hn, order, prev_nbrs, degs, mapping, used, i):
-    if i == len(order):
-        return True
-    pv = order[i]
-    anchors = prev_nbrs[i]
-    if anchors:
-        cand = (1 << hn) - 1
-        for q in anchors:
-            cand &= hadj[mapping[q]]
-    else:
-        cand = (1 << hn) - 1
-    cand &= ~used
-    need = degs[pv]
-    while cand:
-        h = (cand & -cand).bit_length() - 1
-        cand &= cand - 1
-        if hadj[h].bit_count() >= need:
-            mapping[pv] = h
-            if _extend(hadj, hn, order, prev_nbrs, degs, mapping, used | (1 << h), i + 1):
-                return True
-            del mapping[pv]
-    return False
+def _extend(adj, n, anchors, need) -> Optional[List[int]]:
+    """First embedding of a plan (`anchors`, `need`) into the graph with
+    adjacency rows `adj` on n vertices, as the image of each position, or
+    None. An explicit-stack DFS: position i takes, lowest vertex first, an
+    unused vertex of degree >= need[i] adjacent to the images of
+    anchors[i]."""
+    k = len(need)
+    full = (1 << n) - 1
+    img = [0] * k
+    cands = [0] * k  # cands[i]: the untried candidates of position i
+    used = 0
+    i = 0
+    while i < k:
+        c = full & ~used
+        for j in anchors[i]:
+            c &= adj[img[j]]
+        while True:
+            while not c:  # position i is out of candidates: back up
+                if not i:
+                    return None
+                i -= 1
+                used ^= 1 << img[i]
+                c = cands[i]
+            low = c & -c
+            c ^= low
+            h = low.bit_length() - 1
+            if adj[h].bit_count() >= need[i]:
+                break
+        cands[i] = c
+        img[i] = h
+        used |= low
+        i += 1
+    return img
 
 
 def contains_copy(host: Graph, pattern: Graph) -> Optional[Dict[int, int]]:
     """Injective map carrying every pattern edge to a host edge, or None."""
     if pattern.n > host.n or pattern.edge_count > host.edge_count:
         return None
-    order, prev_nbrs, degs = _pattern_plan(pattern)
-    mapping: Dict[int, int] = {}
-    if _extend(host.adj, host.n, order, prev_nbrs, degs, mapping, 0, 0):
-        return dict(mapping)
-    return None
+    order, _, anchors, need = _plan(pattern)
+    img = _extend(host.adj, host.n, anchors, need)
+    return None if img is None else dict(zip(order, img))
 
 
 # ---------------------------------------------------------------------------
@@ -181,20 +196,17 @@ def _embeddings(adj, n, degs, anchors, need, above, prefix, limit) -> List[tuple
 
 @lru_cache(maxsize=4096)
 def _copy_plan(pattern: Graph):
-    """Plan that lists each copy of the pattern exactly once. Positions
-    follow `_pattern_plan`'s visit order; for each position the plan gives
-    its earlier neighbors (anchors), its degree, and the earlier positions
-    whose image must be smaller. Those ordering conditions come from the
+    """What copy listing adds to `_plan(pattern)`: for each position, the
+    earlier positions whose image must be smaller (above), and the pattern
+    edges as position pairs. The ordering conditions come from the
     stabilizer chain of Aut(pattern): for each position i, the image of i
     is below the image of every other vertex in the orbit of i under the
     automorphisms fixing positions 0..i-1 (Grochow-Kellis, RECOMB 2007).
     Each copy then has exactly one admitted embedding, and Aut(pattern) is
-    never listed. Also returns the pattern edges as position pairs."""
-    order = _pattern_plan(pattern)[0]
-    core = pattern.relabel([order.index(v) for v in range(pattern.n)])  # vertex = position
+    never listed. Returns (anchors, need, above, edge pairs), the first two
+    the plan's own, so a listing makes one cache lookup."""
+    _, core, anchors, need = _plan(pattern)
     k = core.n
-    anchors = tuple(tuple(j for j in range(i) if core.has_edge(i, j)) for i in range(k))
-    need = tuple(core.degree(i) for i in range(k))
     no_order = ((),) * k
     above: List[list] = [[] for _ in range(k)]
     for i in range(k):
@@ -434,8 +446,8 @@ def naive_arrows(F: Graph, G: Graph, H: Graph) -> bool:
     n = F.n
     edges = F.edges()
     m = len(edges)
-    g_order, g_prev, g_degs = _pattern_plan(G)
-    h_order, h_prev, h_degs = _pattern_plan(H)
+    _, _, g_anchors, g_need = _plan(G)
+    _, _, h_anchors, h_need = _plan(H)
     for mask in range(1 << m):
         red = [0] * n
         blue = [0] * n
@@ -443,9 +455,7 @@ def naive_arrows(F: Graph, G: Graph, H: Graph) -> bool:
             cls = red if (mask >> i) & 1 == 0 else blue
             cls[u] |= 1 << v
             cls[v] |= 1 << u
-        if not _extend(red, n, g_order, g_prev, g_degs, {}, 0, 0) and not _extend(
-            blue, n, h_order, h_prev, h_degs, {}, 0, 0
-        ):
+        if _extend(red, n, g_anchors, g_need) is None and _extend(blue, n, h_anchors, h_need) is None:
             return False
     return True
 

@@ -27,10 +27,6 @@ from .graphs import Graph, VertexCapError, build, parse_spec
 from .randomgraphs import ExperimentConfig, results_to_csv, run_experiment
 
 
-class UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -70,7 +66,7 @@ def parse_graph_argument(text: str) -> Graph:
             spec = _expression(text)
         return parse_graph6(text) if spec is None else build(spec)
     except ValueError as exc:
-        raise UsageError(f"cannot read graph argument {text!r}: {exc}") from exc
+        raise ValueError(f"cannot read graph argument {text!r}: {exc}") from exc
 
 
 _VERDICT_WORDS = {True: "arrows", False: "does-not-arrow", None: "unknown"}
@@ -186,24 +182,21 @@ def _c_value(text: str) -> Fraction:
 def _cmd_threshold(args) -> int:
     G = parse_graph_argument(args.G)
     H = parse_graph_argument(args.H)
-    try:
-        config = ExperimentConfig(
-            G=G,
-            H=H,
-            n_values=tuple(int(x) for x in args.n.split(",")),
-            c_values=tuple(_c_value(x) for x in args.c.split(",")),
-            samples=args.samples,
-            seed=args.seed,
-            node_budget=args.budget,
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    config = ExperimentConfig(
+        G=G,
+        H=H,
+        n_values=tuple(int(x) for x in args.n.split(",")),
+        c_values=tuple(_c_value(x) for x in args.c.split(",")),
+        samples=args.samples,
+        seed=args.seed,
+        node_budget=args.budget,
+    )
     out = sys.stdout
     if args.output:  # opened before the run, so a bad path costs no experiment
         try:
             out = open(args.output, "w")
         except OSError as exc:
-            raise UsageError(f"cannot write {args.output!r}: {exc.strerror}") from exc
+            raise ValueError(f"cannot write {args.output!r}: {exc.strerror}") from exc
     try:
         out.write(results_to_csv(run_experiment(config), config.seed))
     finally:
@@ -283,7 +276,7 @@ def main(argv=None) -> int:
         return exc.code if exc.code is not None else 0
     try:
         return args.func(args)
-    except (UsageError, ValueError) as exc:
+    except ValueError as exc:
         sys.stderr.write(f"ramseykit: error: {exc}\n")
         return 1
     except Exception as exc:  # internal failure

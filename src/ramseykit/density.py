@@ -19,6 +19,7 @@ sampler's edge probability.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Tuple
@@ -175,11 +176,11 @@ def _edge_probability(d: Fraction, n: int, c) -> float:
     c = Fraction(c)
     if c <= 0:
         raise ValueError("c must be positive")
-    scale = float(n) ** (-1.0 / float(d))
     try:
-        p = float(c) * scale
-    except OverflowError:  # c >= 2^1024 > n >= n^(1/d), as pair densities are >= 1
-        return 1.0
+        p = float(c) * float(n) ** (-1.0 / float(d))
+    except OverflowError:  # n or c has no float value: the same formula in logarithms
+        log_c = math.log(c.numerator) - math.log(c.denominator)
+        p = math.exp(min(0.0, log_c - math.log(n) / float(d)))
     return min(1.0, max(0.0, p))
 
 

@@ -19,10 +19,8 @@ def emit_graph6(g: Graph) -> str:
     n = g.n
     if n <= 62:
         head = chr(63 + n)
-    elif n <= 258047:
+    else:  # n <= MAX_VERTICES fits the 3-byte form
         head = "~" + "".join(chr(63 + ((n >> s) & 63)) for s in (12, 6, 0))
-    else:
-        raise Graph6Error("vertex count too large for 3-byte header")
     bits = []
     for j in range(1, n):
         col = g.adj[j]

@@ -15,7 +15,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Optional, Union
+from typing import Optional, Union
 
 MAX_VERTICES = 1024
 DEFAULT_VERTEX_CAP = 64
@@ -108,13 +108,6 @@ class Graph:
 
     def degree(self, v: int) -> int:
         return self.adj[v].bit_count()
-
-    def neighbors(self, v: int) -> Iterator[int]:
-        row = self.adj[v]
-        while row:
-            u = (row & -row).bit_length() - 1
-            row &= row - 1
-            yield u
 
     def add_edge(self, u: int, v: int) -> "Graph":
         if u == v or not (0 <= u < self.n and 0 <= v < self.n):

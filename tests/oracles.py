@@ -1,15 +1,20 @@
 """Independent oracles for the test suite.
 
 Everything here deliberately avoids the library's canonical-labeling,
-pruned-search and density-profile code paths: isomorphism and automorphism
-counts by permutation search, isomorphism class generation by brute force,
-class counting by Burnside's lemma, and density parameters by scoring every
-vertex subset.
+pruned-search, embedding and density-profile code paths: isomorphism and
+automorphism counts by permutation search, isomorphism class generation by
+brute force, class counting by Burnside's lemma, copy counts (and so
+containment) by networkx's VF2 matcher, and density parameters by scoring
+every vertex subset.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, permutations
 from math import factorial
+
+from networkx import Graph as NxGraph
+from networkx.algorithms.isomorphism import GraphMatcher
 
 from ramseykit import Graph
 from ramseykit.density import DensityValue, PairDensity, _check_size
@@ -51,6 +56,27 @@ def brute_automorphism_count(g: Graph) -> int:
         return total
 
     return extend(0)
+
+
+def _nx(g: Graph) -> NxGraph:
+    out = NxGraph()
+    out.add_nodes_from(range(g.n))
+    out.add_edges_from(g.edges())
+    return out
+
+
+def vf2_copy_count(host: Graph, pattern: Graph) -> int:
+    """Number of (not necessarily induced) subgraphs of host isomorphic to
+    pattern: VF2 monomorphisms divided by |Aut(pattern)|."""
+    monos = sum(1 for _ in GraphMatcher(_nx(host), _nx(pattern)).subgraph_monomorphisms_iter())
+    auts = _vf2_automorphism_count(pattern)
+    assert monos % auts == 0
+    return monos // auts
+
+
+@lru_cache(maxsize=None)
+def _vf2_automorphism_count(pattern: Graph) -> int:
+    return sum(1 for _ in GraphMatcher(_nx(pattern), _nx(pattern)).isomorphisms_iter())
 
 
 def _min_edge_signature(n, edges):

@@ -4,7 +4,9 @@ from itertools import product
 
 import pytest
 
+from oracles import vf2_copy_count
 from ramseykit import (
+    EdgeColoring,
     Graph,
     SearchBounds,
     arrows,
@@ -17,9 +19,10 @@ from ramseykit import (
     is_ramsey_minimal,
     naive_arrows,
     ramsey_number_complete,
+    sample_gnp,
     threshold_p,
 )
-from ramseykit.arrowing import UnknownVerdictError
+from ramseykit.arrowing import UnknownVerdictError, _copies
 from ramseykit.graphs import VertexCapError
 from ramseykit.randomgraphs import edge_uniforms, graph_from_uniforms
 
@@ -35,6 +38,41 @@ def _check_embedding(host, pattern, mapping):
 def test_contains_k3_in_k4():
     m = contains_copy(b("K4"), b("K3"))
     _check_embedding(b("K4"), b("K3"), m)
+
+
+PATTERNS = ["K3", "2K2", "P3", "C4", "K3+K2", "C5", "3K2", "S3+K2", "P4"]
+
+
+def test_containment_mappings_are_pinned():
+    # the first embedding found, for every class and pattern: a change to
+    # the visit order or the candidate order shows here
+    lines = []
+    for F in enumerate_graphs(SearchBounds(7, 9)):
+        for name in PATTERNS:
+            m = contains_copy(F, b(name))
+            lines.append(repr(None if m is None else sorted(m.items())))
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16] == "862167b680a94e77"
+
+
+def test_containment_and_copy_listing_agree_with_vf2():
+    hosts = list(enumerate_graphs(SearchBounds(6, 7)))
+    hosts += [sample_gnp(n, 0.3, seed) for n in (7, 8, 9, 10) for seed in range(2)]
+    for name in PATTERNS:
+        P = b(name)
+        for F in hosts:
+            want = vf2_copy_count(F, P)
+            m = contains_copy(F, P)
+            assert (m is not None) == (want > 0), (name, F.edges())
+            if m is not None:
+                _check_embedding(F, P, m)
+            degs = [row.bit_count() for row in F.adj]
+            assert len(_copies(F, degs, P, 10**6)) == want, (name, F.edges())
+
+
+def test_containment_needs_no_recursion():
+    F, P = b("512K2"), b("500K2")
+    _check_embedding(F, P, contains_copy(F, P))
+    assert EdgeColoring(F, dict.fromkeys(F.edges(), "red")).is_good(P, P) is False
 
 
 def test_c5_is_triangle_free():

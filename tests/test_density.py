@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 from itertools import combinations
 
@@ -104,6 +105,19 @@ def test_threshold_p():
         threshold_p(b("K3"), b("K3"), 10, 0)
     with pytest.raises(ValueError):
         threshold_p(b("P4"), b("K3"), 10, 1)
+
+
+def test_threshold_p_on_an_n_with_no_float_value():
+    # n^(-1/2) in logarithms, since float(10**400) overflows
+    assert threshold_p(b("K3"), b("K3"), 10**400, 1) == pytest.approx(1e-200)
+    assert threshold_p(b("K3"), b("K3"), 10**400, 10**400) == 1.0
+
+
+def test_threshold_p_floats_are_pinned():
+    # every p a float can hold is the float formula's, bit for bit
+    K3 = b("K3")
+    vals = [threshold_p(K3, K3, n, c) for n in range(3, 65) for c in (Fraction(1, 5), Fraction(1, 2), 1, 2)]
+    assert hashlib.sha256(repr(vals).encode()).hexdigest()[:16] == "531822d81af779b7"
 
 
 def test_density_report_bundle():
