@@ -2,10 +2,17 @@
 copy of G or a blue copy of H?
 
 Each pattern has one cached embedding plan (`_plan`), read by containment
-and by copy listing. Containment is an explicit-stack search over it for a
-first embedding, with no symmetry conditions and no code shared with the
-copy lister, so `naive_arrows` and `EdgeColoring.is_good` stay an
-independent check on the search below.
+and by copy listing. Containment (`_extend`) is an explicit-stack search
+over it for a first embedding, with no symmetry conditions.
+
+Copy listing adds symmetry conditions from Aut(pattern) (`_above`), found
+by asking `_extend` for an automorphism of the pattern through a pinned
+prefix, and compiles the plan with its conditions once per pattern into
+a lister: generated Python with one nested bit loop per position, whose
+source holds only the plan's integers (`_compile_lister`). The lister
+never calls `_extend` and containment never runs the lister, so
+`naive_arrows` and `EdgeColoring.is_good` stay a separate check on the
+search below; a networkx VF2 oracle in the tests checks both.
 
 The decision works on the copy hypergraph of F. Every copy of G and of H
 in F is listed once, by its vertex images, from F's degrees computed once
@@ -96,25 +103,29 @@ def _plan(pattern: Graph):
     return tuple(order), core, tuple(tuple(a) for a in anchors), need
 
 
-def _extend(adj, n, anchors, need) -> Optional[List[int]]:
+def _extend(adj, n, anchors, need, prefix=()) -> Optional[List[int]]:
     """First embedding of a plan (`anchors`, `need`) into the graph with
-    adjacency rows `adj` on n vertices, as the image of each position, or
+    adjacency rows `adj` on n vertices that extends `prefix` (the images of
+    the first positions, taken as given), as the image of each position, or
     None. An explicit-stack DFS: position i takes, lowest vertex first, an
     unused vertex of degree >= need[i] adjacent to the images of
     anchors[i]."""
     k = len(need)
+    start = len(prefix)
     full = (1 << n) - 1
-    img = [0] * k
+    img = list(prefix) + [0] * (k - start)
     cands = [0] * k  # cands[i]: the untried candidates of position i
     used = 0
-    i = 0
+    for h in prefix:
+        used |= 1 << h
+    i = start
     while i < k:
         c = full & ~used
         for j in anchors[i]:
             c &= adj[img[j]]
         while True:
             while not c:  # position i is out of candidates: back up
-                if not i:
+                if i == start:
                     return None
                 i -= 1
                 used ^= 1 << img[i]
@@ -144,70 +155,19 @@ def contains_copy(host: Graph, pattern: Graph) -> Optional[Dict[int, int]]:
 # Copy enumeration
 
 
-def _embeddings(adj, n, degs, anchors, need, above, prefix, limit) -> List[tuple]:
-    """Every completion of the partial map `prefix` (pattern position ->
-    host vertex) to an injective map where position i goes to a vertex of
-    degree >= need[i] (host degrees `degs`) adjacent to the images of
-    anchors[i] and above the images of above[i]. Stops after limit + 1
-    completions."""
-    k = len(need)
-    start = len(prefix)
-    img = list(prefix) + [0] * (k - start)
-    if start == k:
-        return [tuple(img)]
-    fit = {d: sum(1 << v for v in range(n) if degs[v] >= d) for d in set(need[start:])}
-    fit = [fit.get(d, 0) for d in need]  # vertices of enough degree, per position
-    used = [0] * (k + 1)  # used[i]: images of positions before i
-    for h in prefix:
-        used[start] |= 1 << h
-    cands = [0] * k
-    found = []
-    last = k - 1
-    i = start
-    while True:
-        c = fit[i] & ~used[i]
-        for j in anchors[i]:
-            c &= adj[img[j]]
-        for j in above[i]:
-            c &= -2 << img[j]
-        if i == last:
-            # every candidate completes an embedding
-            while c:
-                low = c & -c
-                c ^= low
-                img[i] = low.bit_length() - 1
-                found.append(tuple(img))
-                if len(found) > limit:
-                    return found
-            i -= 1
-        else:
-            cands[i] = c
-        while i >= start and not cands[i]:
-            i -= 1
-        if i < start:
-            return found
-        c = cands[i]
-        low = c & -c
-        cands[i] = c ^ low
-        img[i] = low.bit_length() - 1
-        used[i + 1] = used[i] | low
-        i += 1
+# Python nests at most 20 blocks in one function, so a generated lister
+# holds the loops of this many positions per function and chains the rest.
+_SEGMENT = 16
 
 
-@lru_cache(maxsize=4096)
-def _copy_plan(pattern: Graph):
-    """What copy listing adds to `_plan(pattern)`: for each position, the
-    earlier positions whose image must be smaller (above), and the pattern
-    edges as position pairs. The ordering conditions come from the
-    stabilizer chain of Aut(pattern): for each position i, the image of i
-    is below the image of every other vertex in the orbit of i under the
-    automorphisms fixing positions 0..i-1 (Grochow-Kellis, RECOMB 2007).
-    Each copy then has exactly one admitted embedding, and Aut(pattern) is
-    never listed. Returns (anchors, need, above, edge pairs), the first two
-    the plan's own, so a listing makes one cache lookup."""
-    _, core, anchors, need = _plan(pattern)
+def _above(core: Graph, anchors, need):
+    """For each position of the plan, the earlier positions whose image
+    must be smaller. The conditions come from the stabilizer chain of
+    Aut(pattern): for each position i, the image of i is below the image of
+    every other vertex in the orbit of i under the automorphisms fixing
+    positions 0..i-1 (Grochow-Kellis, RECOMB 2007). Each copy then has
+    exactly one admitted embedding, and Aut(pattern) is never listed."""
     k = core.n
-    no_order = ((),) * k
     above: List[list] = [[] for _ in range(k)]
     for i in range(k):
         for w in range(i + 1, k):
@@ -215,9 +175,92 @@ def _copy_plan(pattern: Graph):
                 continue
             # an automorphism fixing 0..i-1 and sending i to w? (need is
             # also core's degree list)
-            if _embeddings(core.adj, k, need, anchors, need, no_order, tuple(range(i)) + (w,), 0):
+            if _extend(core.adj, k, anchors, need, tuple(range(i)) + (w,)) is not None:
                 above[w].append(i)
-    return anchors, need, tuple(tuple(a) for a in above), tuple(core.edges())
+    return tuple(tuple(a) for a in above)
+
+
+def _compile_lister(anchors, need, above):
+    """A copy lister for the plan (`anchors`, `need`, `above`), generated
+    as Python source from the plan's integers and compiled. It is called
+    as lister(adj, degs, limit) and returns the images of every copy, in
+    the lexicographic order of the image tuples, or the first limit + 1.
+
+    Position i has one `while c_i:` loop over its candidates, lowest vertex
+    first: the vertices of degree >= need[i], AND the rows of its anchors'
+    images, AND `-2 << v_j` for each j in above[i], AND NOT the earlier
+    images that are not anchors (an anchor's row excludes the anchor's
+    image). The innermost loop appends a copy per candidate; the limit is
+    checked once per innermost loop and the overshoot cut. Positions past
+    the first `_SEGMENT` continue in a chained function, which gets the
+    earlier images as a tuple `p` and their union `u`, and returns True
+    when the limit was passed."""
+    k = len(need)
+    fits = sorted(set(need))
+    fit_args = ", ".join(f"f{d}" for d in fits)
+    lines = [
+        "def _list(adj, degs, limit):",
+        "    " + " = ".join(f"f{d}" for d in fits) + " = 0",
+        "    for v, d in enumerate(degs):",
+    ]
+    for d in fits:
+        lines += [f"        if d >= {d}:", f"            f{d} |= 1 << v"]
+    lines.append("    out = []")
+    for start in range(0, k, _SEGMENT):
+        end = min(start + _SEGMENT, k)
+        stop = "return out" if not start else "return True"
+        if start:
+            lines += ["", f"def _s{start}(adj, out, limit, {fit_args}, u, p):"]
+            earlier = sorted({j for i in range(start, end) for j in anchors[i] + above[i] if j < start})
+            lines += [f"    v{j} = p[{j}]" for j in earlier]
+        lines.append("    append = out.append")
+        for i in range(start, end):
+            pad = "    " * (1 + i - start)
+            terms = [f"f{need[i]}"] + [f"adj[v{j}]" for j in anchors[i]]
+            terms += [f"(-2 << v{j})" for j in above[i]]
+            free = [j for j in range(i) if j not in anchors[i]]
+            unused = [f"b{j}" for j in free if j >= start]
+            if start and any(j < start for j in free):
+                unused.append("u")
+            if unused:
+                terms.append(f"~({' | '.join(unused)})")
+            lines += [
+                f"{pad}c{i} = {' & '.join(terms)}",
+                f"{pad}while c{i}:",
+                f"{pad}    b{i} = c{i} & -c{i}",
+                f"{pad}    c{i} ^= b{i}",
+            ]
+            images = [f"v{j}" for j in range(start, i)]
+            if i == k - 1:
+                copy = f"({', '.join(images + [f'b{i}.bit_length() - 1'])},)"
+                lines += [
+                    f"{pad}    append({'p + ' if start else ''}{copy})",
+                    f"{pad}if len(out) > limit:",
+                    f"{pad}    del out[limit + 1:]",
+                    f"{pad}    {stop}",
+                ]
+            else:
+                lines.append(f"{pad}    v{i} = b{i}.bit_length() - 1")
+            if i == end - 1 and i < k - 1:
+                seen = " | ".join(["u"] * bool(start) + [f"b{j}" for j in range(start, end)])
+                prefix = f"{'p + ' if start else ''}({', '.join(images + [f'v{i}'])},)"
+                lines += [
+                    f"{pad}    if _s{end}(adj, out, limit, {fit_args}, {seen}, {prefix}):",
+                    f"{pad}        {stop}",
+                ]
+        lines.append("    return out" if not start else "    return False")
+    namespace: dict = {}
+    exec(compile("\n".join(lines) + "\n", "<copy lister>", "exec"), namespace)
+    return namespace["_list"]
+
+
+@lru_cache(maxsize=4096)
+def _copy_plan(pattern: Graph):
+    """What copy listing adds to `_plan(pattern)`: the compiled lister of
+    the plan with its symmetry conditions (`_above`), and the pattern edges
+    as position pairs."""
+    _, core, anchors, need = _plan(pattern)
+    return _compile_lister(anchors, need, _above(core, anchors, need)), tuple(core.edges())
 
 
 def _copies(F: Graph, degs: List[int], pattern: Graph, limit: int) -> List[tuple]:
@@ -226,15 +269,14 @@ def _copies(F: Graph, degs: List[int], pattern: Graph, limit: int) -> List[tuple
     means there are more than `limit`."""
     if pattern.n > F.n:
         return []
-    anchors, need, above, _ = _copy_plan(pattern)
-    return _embeddings(F.adj, F.n, degs, anchors, need, above, (), limit)
+    return _copy_plan(pattern)[0](F.adj, degs, limit)
 
 
 def _index(imgs: List[tuple], pattern: Graph, ebit: List[int], n: int, through: List[list]) -> int:
     """Append the edge mask of each copy in `imgs` to `through[e]` for
     every edge e it uses, where `ebit[u * n + v]` is the bit of edge uv.
     Returns the union of the masks."""
-    pedges = _copy_plan(pattern)[3]
+    pedges = _copy_plan(pattern)[1]
     live = 0
     for img in imgs:
         bits = []

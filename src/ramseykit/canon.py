@@ -51,29 +51,41 @@ class CanonicalForm:
 
 def _refine(adj, cells):
     """Refine an ordered partition to equitability (neighbor counts into
-    every cell are constant on each cell)."""
+    every cell are constant on each cell): split every cell by its counts
+    into the first splitter that splits one, and start over. A splitter
+    leaves every cell with constant counts into it, and cells only get
+    finer, so it splits nothing again until it is split itself; such
+    cells are skipped, which leaves the splits as they were."""
     cells = [tuple(c) for c in cells]
+    stable = set()  # cells known to split nothing
     changed = True
     while changed:
         changed = False
         for splitter in cells:
+            if splitter in stable:
+                continue
             smask = 0
             for v in splitter:
                 smask |= 1 << v
             newcells = []
             for cell in cells:
-                if len(cell) == 1:
-                    newcells.append(cell)
-                    continue
-                buckets = {}
-                for v in cell:
-                    buckets.setdefault((adj[v] & smask).bit_count(), []).append(v)
-                if len(buckets) == 1:
-                    newcells.append(cell)
-                else:
+                if len(cell) > 1:
+                    count = (adj[cell[0]] & smask).bit_count()
+                    for v in cell:
+                        if (adj[v] & smask).bit_count() != count:
+                            break
+                    else:
+                        newcells.append(cell)
+                        continue
                     changed = True
+                    buckets = {}
+                    for v in cell:
+                        buckets.setdefault((adj[v] & smask).bit_count(), []).append(v)
                     for k in sorted(buckets):
                         newcells.append(tuple(buckets[k]))
+                else:
+                    newcells.append(cell)
+            stable.add(splitter)
             if changed:
                 cells = newcells
                 break

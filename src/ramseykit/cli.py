@@ -12,6 +12,7 @@ error, 2 = internal failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -205,7 +206,10 @@ def _cmd_threshold(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it
+    unchanged, and error output goes to the `sys.stderr` of the call."""
     parser = _Parser(prog="ramseykit", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)

@@ -76,7 +76,12 @@ def vf2_copy_count(host: Graph, pattern: Graph) -> int:
 
 @lru_cache(maxsize=None)
 def _vf2_automorphism_count(pattern: Graph) -> int:
-    return sum(1 for _ in GraphMatcher(_nx(pattern), _nx(pattern)).isomorphisms_iter())
+    return len(vf2_automorphisms(pattern))
+
+
+def vf2_automorphisms(g: Graph) -> list:
+    """Every automorphism of g, as a tuple mapping vertex -> image."""
+    return [tuple(m[v] for v in range(g.n)) for m in GraphMatcher(_nx(g), _nx(g)).isomorphisms_iter()]
 
 
 def _min_edge_signature(n, edges):

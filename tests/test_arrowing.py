@@ -4,7 +4,7 @@ from itertools import product
 
 import pytest
 
-from oracles import vf2_copy_count
+from oracles import vf2_automorphisms, vf2_copy_count
 from ramseykit import (
     EdgeColoring,
     Graph,
@@ -22,7 +22,7 @@ from ramseykit import (
     sample_gnp,
     threshold_p,
 )
-from ramseykit.arrowing import UnknownVerdictError, _copies
+from ramseykit.arrowing import UnknownVerdictError, _above, _copies, _plan
 from ramseykit.graphs import VertexCapError
 from ramseykit.randomgraphs import edge_uniforms, graph_from_uniforms
 
@@ -67,6 +67,57 @@ def test_containment_and_copy_listing_agree_with_vf2():
                 _check_embedding(F, P, m)
             degs = [row.bit_count() for row in F.adj]
             assert len(_copies(F, degs, P, 10**6)) == want, (name, F.edges())
+
+
+def test_copy_lists_are_pinned():
+    # every copy, in listing order, for every class and pattern: a change
+    # to the candidate order or to the symmetry conditions shows here
+    lines = []
+    for F in enumerate_graphs(SearchBounds(7, 9)):
+        degs = [row.bit_count() for row in F.adj]
+        for name in PATTERNS:
+            lines.append(repr(_copies(F, degs, b(name), 10**6)))
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16] == "458f102ab75d17d2"
+
+
+@pytest.mark.parametrize("pattern,host,count", [("P22", "C24", 24), ("P30", "C32", 32)])
+def test_chained_listers_agree_with_vf2(pattern, host, count):
+    # over 16 positions the lister continues in a chained function
+    P, F = b(pattern), b(host)
+    degs = [row.bit_count() for row in F.adj]
+    assert len(_copies(F, degs, P, 10**6)) == vf2_copy_count(F, P) == count
+
+
+@pytest.mark.parametrize("pattern,host,count", [("K3", "K7", 35), ("12K2", "13K2", 13)])
+def test_copy_listing_stops_right_after_the_limit(pattern, host, count):
+    # K3 in K7 lists up to five copies per innermost loop, 12K2 in 13K2 one
+    # per loop of its chained function: every cut-off, inside a loop's
+    # candidates or at the end of them, returns the first limit + 1 copies
+    P, F = b(pattern), b(host)
+    degs = [row.bit_count() for row in F.adj]
+    full = _copies(F, degs, P, 10**6)
+    assert len(full) == count
+    for limit in range(count + 2):
+        assert _copies(F, degs, P, limit) == full[: limit + 1], limit
+
+
+def test_symmetry_conditions_match_the_automorphism_group():
+    # _above asks _extend for an automorphism through a pinned prefix; the
+    # conditions are pinned, and checked against the stabilizer chain of
+    # the VF2 automorphism group on the smaller classes
+    lines = []
+    for P in enumerate_graphs(SearchBounds(7, 9)):
+        _, core, anchors, need = _plan(P)
+        above = _above(core, anchors, need)
+        lines.append(repr(above))
+        if P.n <= 6:
+            auts = vf2_automorphisms(core)
+            want = [
+                tuple(i for i in range(w) if any(a[i] == w and all(a[j] == j for j in range(i)) for a in auts))
+                for w in range(core.n)
+            ]
+            assert list(above) == want, P.edges()
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16] == "8bd5aaa36af0cca3"
 
 
 def test_containment_needs_no_recursion():

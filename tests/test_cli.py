@@ -8,7 +8,7 @@ import pytest
 
 from ramseykit import EdgeColoring, Graph, build_from_text, certificate, emit_graph6, parse_graph6
 from ramseykit import randomgraphs
-from ramseykit.cli import main, parse_graph_argument
+from ramseykit.cli import build_parser, main, parse_graph_argument
 
 
 def run_cli(capsys, *argv):
@@ -144,6 +144,21 @@ def test_usage_errors_exit_one(capsys):
     assert run_cli(capsys, "arrow", "zz!!", "K3", "K3")[0] == 1
     assert run_cli(capsys, "nonsense")[0] == 1
     assert run_cli(capsys, "arrow", "K6")[0] == 1
+
+
+def test_parser_is_built_once_and_reused(capsys):
+    assert build_parser() is build_parser()
+    first = run_json(capsys, "arrow", "K5", "K3", "K3")
+    second = run_json(capsys, "arrow", "K5", "K3", "K3")
+    del first["elapsed"], second["elapsed"]
+    assert first == second
+    assert run_json(capsys, "density", "C5") == run_json(capsys, "density", "C5")
+    # the reused parser still reports a usage error on this call's stderr
+    for _ in range(2):
+        code, out, err = run_cli(capsys, "arrow", "K6")
+        assert (code, out) == (1, "")
+        assert err.startswith("usage: ramseykit arrow")
+        assert "the following arguments are required: G, H" in err
 
 
 def test_graph6_and_expression_inputs_agree(capsys):
