@@ -9,10 +9,26 @@ Copy listing adds symmetry conditions from Aut(pattern) (`_above`), found
 by asking `_extend` for an automorphism of the pattern through a pinned
 prefix, and compiles the plan with its conditions once per pattern into
 a lister: generated Python with one nested bit loop per position, whose
-source holds only the plan's integers (`_compile_lister`). The lister
-never calls `_extend` and containment never runs the lister, so
-`naive_arrows` and `EdgeColoring.is_good` stay a separate check on the
-search below; a networkx VF2 oracle in the tests checks both.
+source holds only the plan's integers (`_lister_source`). Where
+isomorphic components are ordered by their first images, the first
+position of each checks that enough unused vertices of high enough degree
+remain above its image for the later components (`_room`), so a kK2 with
+few copies in the host is listed in about as many steps as it has copies,
+not 2^k. The lister never calls `_extend` and containment never runs the
+lister, so `naive_arrows` and `EdgeColoring.is_good` stay a separate
+check on the search below; a networkx VF2 oracle in the tests checks
+both. `has_copy` asks the lister for a first copy; the catalog's member
+pre-filter uses it.
+
+When G and H are matchings sK2 and tK2, F arrows as soon as it has more
+edges than ex(N, s) + ex(N, t), where N counts F's non-isolated vertices
+and ex(N, s) is the Erdos-Gallai (1959) bound on the edges of a graph on
+N vertices with no s disjoint edges: one color class then holds more than
+its bound. That is decided at the root, with 0 nodes and no copy listed.
+It proves K_{2m+n-1} -> (mK2, nK2) (Cockayne-Lorimer 1975) for all
+m, n <= 4, but not from (5K2, 5K2) on, where the search still decides.
+The count cannot cut deeper in the tree: red, blue and free edges always
+sum to F's edge count.
 
 The decision works on the copy hypergraph of F. Every copy of G and of H
 in F is listed once, by its vertex images, from F's degrees computed once
@@ -180,22 +196,54 @@ def _above(core: Graph, anchors, need):
     return tuple(tuple(a) for a in above)
 
 
-def _compile_lister(anchors, need, above):
-    """A copy lister for the plan (`anchors`, `need`, `above`), generated
-    as Python source from the plan's integers and compiled. It is called
-    as lister(adj, degs, limit) and returns the images of every copy, in
-    the lexicographic order of the image tuples, or the first limit + 1.
+def _room(anchors, need, above):
+    """The room checks of a plan, by position. At the first position i of
+    a component, r counts the later positions of other components that
+    `above`, through its transitive closure, forces to take images above
+    v_i, and d is the smallest of their needs: room[i] is (r, d) when r is
+    positive, else None. Such positions exist only for isomorphic
+    components, ordered by the conditions on their first positions."""
+    k = len(need)
+    first = []  # first[j]: the first position of j's component
+    below = []  # below[j]: bitmask of the positions whose image is below j's
+    room: List[Optional[tuple]] = [None] * k
+    for j in range(k):
+        first.append(first[anchors[j][0]] if anchors[j] else j)
+        mask = 0
+        for i in above[j]:
+            mask |= 1 << i | below[i]
+        below.append(mask)
+    for i in range(k):
+        if first[i] == i:
+            forced = [need[j] for j in range(i + 1, k) if below[j] >> i & 1 and first[j] != i]
+            if forced:
+                room[i] = (len(forced), min(forced))
+    return room
+
+
+def _lister_source(anchors, need, above) -> str:
+    """The Python source of the copy lister for the plan (`anchors`,
+    `need`, `above`), built from the plan's integers only. The lister is
+    called as lister(adj, degs, limit) and returns the images of every
+    copy, in the lexicographic order of the image tuples, or the first
+    limit + 1.
 
     Position i has one `while c_i:` loop over its candidates, lowest vertex
     first: the vertices of degree >= need[i], AND the rows of its anchors'
     images, AND `-2 << v_j` for each j in above[i], AND NOT the earlier
     images that are not anchors (an anchor's row excludes the anchor's
-    image). The innermost loop appends a copy per candidate; the limit is
-    checked once per innermost loop and the overshoot cut. Positions past
-    the first `_SEGMENT` continue in a chained function, which gets the
-    earlier images as a tuple `p` and their union `u`, and returns True
-    when the limit was passed."""
+    image). At the first position of a component with a room check
+    (`_room`: r later positions of other components forced above it, the
+    smallest of their needs d), the loop breaks once fewer than r unused
+    vertices above v_i have degree >= d: a larger candidate leaves fewer
+    still. So kK2 in a host with few copies costs about as many steps as
+    it has copies, not 2^k. The innermost loop appends a copy per
+    candidate; the limit is checked once per innermost loop and the
+    overshoot cut. Positions past the first `_SEGMENT` continue in a
+    chained function, which gets the earlier images as a tuple `p` and
+    their union `u`, and returns True when the limit was passed."""
     k = len(need)
+    room = _room(anchors, need, above)
     fits = sorted(set(need))
     fit_args = ", ".join(f"f{d}" for d in fits)
     lines = [
@@ -241,6 +289,11 @@ def _compile_lister(anchors, need, above):
                 ]
             else:
                 lines.append(f"{pad}    v{i} = b{i}.bit_length() - 1")
+            if room[i]:
+                r, d = room[i]
+                used = ["u"] * bool(start) + [f"b{j}" for j in range(start, i)]
+                mask = f"f{d} & (-2 << v{i})" + (f" & ~({' | '.join(used)})" if used else "")
+                lines += [f"{pad}    if ({mask}).bit_count() < {r}:", f"{pad}        break"]
             if i == end - 1 and i < k - 1:
                 seen = " | ".join(["u"] * bool(start) + [f"b{j}" for j in range(start, end)])
                 prefix = f"{'p + ' if start else ''}({', '.join(images + [f'v{i}'])},)"
@@ -249,8 +302,13 @@ def _compile_lister(anchors, need, above):
                     f"{pad}        {stop}",
                 ]
         lines.append("    return out" if not start else "    return False")
+    return "\n".join(lines) + "\n"
+
+
+def _compile_lister(anchors, need, above):
+    """The copy lister of `_lister_source`, compiled."""
     namespace: dict = {}
-    exec(compile("\n".join(lines) + "\n", "<copy lister>", "exec"), namespace)
+    exec(compile(_lister_source(anchors, need, above), "<copy lister>", "exec"), namespace)
     return namespace["_list"]
 
 
@@ -270,6 +328,15 @@ def _copies(F: Graph, degs: List[int], pattern: Graph, limit: int) -> List[tuple
     if pattern.n > F.n:
         return []
     return _copy_plan(pattern)[0](F.adj, degs, limit)
+
+
+def has_copy(host: Graph, pattern: Graph) -> bool:
+    """Whether host contains pattern, asked of the compiled copy lister for
+    a first copy: its symmetry conditions and room checks prune what
+    `contains_copy` walks in full (every partial matching, for a kK2
+    missing from the host). `contains_copy` stays the separate check
+    behind `EdgeColoring.is_good`."""
+    return bool(_copies(host, [row.bit_count() for row in host.adj], pattern, 0))
 
 
 def _index(imgs: List[tuple], pattern: Graph, ebit: List[int], n: int, through: List[list]) -> int:
@@ -397,8 +464,22 @@ def find_good_coloring(
     return ArrowVerdict(outcome, witness, nodes, time.perf_counter() - t0)
 
 
+def _matching_free_edges(N: int, s: int) -> int:
+    """The most edges a graph on N vertices has with no s disjoint edges:
+    max{C(2s-1, 2), C(s-1, 2) + (s-1)(N-s+1)} (Erdos-Gallai 1959). Below
+    2s - 1 vertices the first term still bounds C(N, 2)."""
+    return max((2 * s - 1) * (s - 1), (s - 1) * (s - 2) // 2 + (s - 1) * (N - s + 1))
+
+
 def _search(F: Graph, G: Graph, H: Graph, budget: int):
     """(arrows, witness, nodes) of the search behind `find_good_coloring`."""
+    # Matching targets sK2 and tK2 (no isolated vertex, so n == 2m): when F
+    # has more edges than a red class without sK2 and a blue class without
+    # tK2 can hold together, every coloring has one of them.
+    if G.n == 2 * G.edge_count and H.n == 2 * H.edge_count:
+        N = sum(1 for row in F.adj if row)
+        if F.edge_count > _matching_free_edges(N, G.edge_count) + _matching_free_edges(N, H.edge_count):
+            return True, None, 0
     n = F.n
     degs = [row.bit_count() for row in F.adj]
     limit = min(budget, MAX_COPIES)

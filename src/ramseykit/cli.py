@@ -87,7 +87,8 @@ def _emit(doc: dict, args) -> None:
         for key, value in doc.items():
             print(f"{key}: {value}")
     else:
-        print(json.dumps(doc, indent=2))
+        # one line: indent= would force the stdlib's pure-Python encoder
+        print(json.dumps(doc))
 
 
 def _cmd_arrow(args) -> int:

@@ -19,7 +19,10 @@ A catalog does not grow a candidate that arrows or contains a member,
 since every proper supergraph F' of an arrowing F is not minimal (F' - e
 still arrows for an edge e outside F). Graphs with no arrowing proper
 subgraph are closed under taking subgraphs, so each one-edge deletion of a
-minimal graph is grown and reaches it, and no member is lost.
+minimal graph is grown and reaches it, and no member is lost. Whether a
+candidate contains a member is asked of the same compiled copy lister the
+arrowing search uses, which lists only real embeddings, so that pre-filter
+loses no member either.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
-from .arrowing import DEFAULT_NODE_BUDGET, MinimalityReport, contains_copy, is_ramsey_minimal
+from .arrowing import DEFAULT_NODE_BUDGET, MinimalityReport, has_copy, is_ramsey_minimal
 from .canon import canonical_form
 from .density import m2_pair, rho
 from .graph6 import emit_graph6
@@ -177,7 +180,9 @@ def enumerate_ramsey_minimal(G: Graph, H: Graph, bounds: SearchBounds) -> Minima
     """Every Ramsey-minimal graph for (G,H) within the bounds.
 
     One pre-filter: a candidate that properly contains an already-found
-    member is skipped, since it arrows but cannot be minimal. Each other
+    member is skipped, since it arrows but cannot be minimal; `has_copy`
+    asks the search's compiled copy lister, so a missing matching member
+    is ruled out without trying every partial matching. Each other
     candidate gets one `is_ramsey_minimal` call, which proves it arrows
     and then searches every single-edge deletion; a candidate with no copy
     of G or of H is settled at once by the search's first step.
@@ -193,8 +198,7 @@ def enumerate_ramsey_minimal(G: Graph, H: Graph, bounds: SearchBounds) -> Minima
     closed = set()  # yielded graphs that arrow; by value, as Graph hashes (n, adj)
     for F in enumerate_graphs(bounds, grow=lambda g: g not in closed):
         if any(
-            m.graph.edge_count < F.edge_count and contains_copy(F, m.graph) is not None
-            for m in members
+            m.graph.edge_count < F.edge_count and has_copy(F, m.graph) for m in members
         ):
             closed.add(F)
             continue

@@ -1,4 +1,5 @@
 import hashlib
+import time
 from fractions import Fraction
 from itertools import product
 
@@ -22,7 +23,7 @@ from ramseykit import (
     sample_gnp,
     threshold_p,
 )
-from ramseykit.arrowing import UnknownVerdictError, _above, _copies, _plan
+from ramseykit.arrowing import UnknownVerdictError, _above, _copies, _lister_source, _plan, has_copy
 from ramseykit.graphs import VertexCapError
 from ramseykit.randomgraphs import edge_uniforms, graph_from_uniforms
 
@@ -62,7 +63,7 @@ def test_containment_and_copy_listing_agree_with_vf2():
         for F in hosts:
             want = vf2_copy_count(F, P)
             m = contains_copy(F, P)
-            assert (m is not None) == (want > 0), (name, F.edges())
+            assert (m is not None) == (want > 0) == has_copy(F, P), (name, F.edges())
             if m is not None:
                 _check_embedding(F, P, m)
             degs = [row.bit_count() for row in F.adj]
@@ -99,6 +100,47 @@ def test_copy_listing_stops_right_after_the_limit(pattern, host, count):
     assert len(full) == count
     for limit in range(count + 2):
         assert _copies(F, degs, P, limit) == full[: limit + 1], limit
+
+
+def _source_digest(name):
+    _, core, anchors, need = _plan(b(name))
+    return hashlib.sha256(_lister_source(anchors, need, _above(core, anchors, need)).encode()).hexdigest()[:16]
+
+
+def test_listers_without_room_checks_are_unchanged():
+    # room checks are generated only where isomorphic components are
+    # ordered, so these sources are those of the listers without them
+    pinned = {
+        "K3": "831f762e10db3a47",
+        "K4": "c5dd47bba029015b",
+        "C4": "61ce1775151695b2",
+        "P5": "e7db5938142a7a77",
+        "P22": "cb6a90086d601a5b",
+        "K3+K2": "99214f65e8c9da84",
+    }
+    assert {name: _source_digest(name) for name in pinned} == pinned
+
+
+def test_matching_lister_grows_with_the_copies_not_2_to_the_k():
+    F, P = b("21K2"), b("20K2")
+    degs = [row.bit_count() for row in F.adj]
+    t0 = time.perf_counter()
+    copies = _copies(F, degs, P, 10**6)
+    assert time.perf_counter() - t0 < 0.1
+    assert len(copies) == 21
+
+
+@pytest.mark.parametrize("name", ["2K2", "4K2", "2K3", "3P3", "2C4+K2", "2K3+3K2", "S3+2P3"])
+def test_room_checks_lose_no_copy(name):
+    # patterns with isomorphic components get room checks; on hosts with
+    # few and with many copies, none is lost
+    P = b(name)
+    hosts = [sample_gnp(n, p, seed) for n, p in ((8, 0.4), (10, 0.2)) for seed in range(2)]
+    hosts += [b(h) for h in ("5K2+P4", "2K3+2K2", "3P3+K2", "2C4+2K2", "K4+2P3")]
+    for F in hosts:
+        degs = [row.bit_count() for row in F.adj]
+        assert len(_copies(F, degs, P, 10**6)) == vf2_copy_count(F, P), (name, F.edges())
+        assert has_copy(F, P) == (contains_copy(F, P) is not None), (name, F.edges())
 
 
 def test_symmetry_conditions_match_the_automorphism_group():
@@ -402,3 +444,37 @@ def test_swap_with_unequal_isomorphic_targets(name):
         v = arrows(F, G, H)
         assert v.arrows == naive_arrows(F, G, H), F.edges()
         assert v.nodes == arrows(F, G, G).nodes, F.edges()
+
+
+# Cockayne-Lorimer (1975): r(mK2, nK2) = 2m + n - 1 for m >= n
+COCKAYNE_LORIMER = [(m, n) for m in range(1, 5) for n in range(1, m + 1)]
+
+
+@pytest.mark.parametrize("m,n", COCKAYNE_LORIMER)
+def test_matching_ramsey_numbers_by_the_root_cut(m, n):
+    r = 2 * m + n - 1
+    for G, H in ((b(f"{m}K2"), b(f"{n}K2")), (b(f"{n}K2"), b(f"{m}K2"))):
+        v = arrows(Graph.complete(r), G, H)  # K11 -> (4K2, 4K2) among them
+        assert (v.arrows, v.witness, v.nodes) == (True, None, 0)
+        assert v.elapsed < 0.1
+        w = arrows(Graph.complete(r - 1), G, H)
+        assert w.arrows is False and w.witness.is_good(G, H)
+        assert w.elapsed < 1.0
+
+
+def test_matching_cut_is_strict_at_the_bound():
+    # K4 has 6 = ex(4, 2) + ex(4, 2) edges, so the root cut must not fire:
+    # r(2K2, 2K2) = 5, and the search must find a good coloring
+    G = b("2K2")
+    v = arrows(b("K4"), G, G)
+    assert v.arrows is False and v.nodes > 0
+    assert v.witness.is_good(G, G)
+
+
+@pytest.mark.parametrize("gname,hname", [("2K2", "2K2"), ("3K2", "2K2"), ("2K2", "K2")])
+def test_matching_cut_agrees_with_naive(gname, hname):
+    G, H = b(gname), b(hname)
+    dense = [F for F in enumerate_graphs(SearchBounds(6, 10)) if F.edge_count >= 9]
+    assert dense
+    for F in dense:
+        assert arrows(F, G, H).arrows == naive_arrows(F, G, H), F.edges()

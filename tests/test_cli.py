@@ -94,6 +94,44 @@ def test_enumerate_catalog_at_ten_vertices_twelve_edges(capsys):
     assert doc["completeness"] == "complete within bounds"
 
 
+def _catalog_doc(pair, max_v, max_e, members):
+    return {
+        "command": "enumerate",
+        "pair": pair,
+        "bounds": {"max_vertices": max_v, "max_edges": max_e, "node_budget": 100000000},
+        "members": [
+            {"graph6": g6, "vertices": n, "edges": m, "edge_witnesses": m} for g6, n, m in members
+        ],
+        "completeness": "complete within bounds",
+        "citations": [],
+    }
+
+
+MATCHING_CATALOGS = [
+    (("2K2", "2K2", 8, 10), _catalog_doc(["C`", "C`"], 8, 10, [("E`?G", 6, 3), ("DLo", 5, 5)])),
+    (("2K2", "2K2", 10, 12), _catalog_doc(["C`", "C`"], 10, 12, [("E`?G", 6, 3), ("DLo", 5, 5)])),
+    (
+        ("3K2", "2K2", 9, 11),
+        _catalog_doc(["E`?G", "C`"], 9, 11, [("G`?G?C", 8, 4), ("F@Ue?", 7, 7), ("F@Q^?", 7, 8)]),
+    ),
+]
+
+
+@pytest.mark.parametrize("question,want", MATCHING_CATALOGS)
+def test_matching_catalog_documents_are_pinned(capsys, question, want):
+    # the whole document, as the containment pre-filter through the
+    # general DFS gave it: the lister-based pre-filter must agree
+    G, H, max_v, max_e = question
+    assert run_json(capsys, "enumerate", G, H, "--max-v", str(max_v), "--max-e", str(max_e)) == want
+
+
+def test_json_output_is_one_line(capsys):
+    code, out, _ = run_cli(capsys, "arrow", "K5", "K3", "K3")
+    assert code == 0
+    assert out.count("\n") == 1 and out.endswith("\n")
+    assert json.loads(out)["arrows"] is False
+
+
 def test_enumerate_and_threshold_reject_bad_targets(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "enumerate", "K2+K1", "K2", "--max-v", "1", "--max-e", "1")
     assert (code, out) == (1, "")
