@@ -18,7 +18,7 @@ not 2^k. The lister never calls `_extend` and containment never runs the
 lister, so `naive_arrows` and `EdgeColoring.is_good` stay a separate
 check on the search below; a networkx VF2 oracle in the tests checks
 both. `has_copy` asks the lister for a first copy; the catalog's member
-pre-filter uses it.
+checks use it.
 
 When G and H are matchings sK2 and tK2, F arrows as soon as it has more
 edges than ex(N, s) + ex(N, t), where N counts F's non-isolated vertices
@@ -404,9 +404,14 @@ class ArrowVerdict:
         return self.arrows is True
 
 
-def _check_search(F: Graph, budget: int):
+def check_budget(budget: int):
+    """The one check on a node budget, made wherever a budget is taken."""
     if budget < 1:
         raise ValueError(f"node budget must be at least 1, got {budget}")
+
+
+def _check_search(F: Graph, budget: int):
+    check_budget(budget)
     if F.n > DEFAULT_VERTEX_CAP:
         used = sum(1 for row in F.adj if row)
         if used > DEFAULT_VERTEX_CAP:

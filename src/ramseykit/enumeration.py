@@ -15,22 +15,26 @@ the others are isomorphic to it, so a later one could only have found its
 class in the table already: the order in which classes are emitted is the
 same as when every extension is canonicalized.
 
-A catalog does not grow a candidate that arrows or contains a member,
-since every proper supergraph F' of an arrowing F is not minimal (F' - e
-still arrows for an edge e outside F). Graphs with no arrowing proper
-subgraph are closed under taking subgraphs, so each one-edge deletion of a
-minimal graph is grown and reaches it, and no member is lost. Whether a
-candidate contains a member is asked of the same compiled copy lister the
-arrowing search uses, which lists only real embeddings, so that pre-filter
-loses no member either.
+A catalog does not grow a candidate that arrows, since every proper
+supergraph F' of an arrowing F is not minimal (F' - e still arrows for an
+edge e outside F). Graphs with no arrowing proper subgraph are closed under
+taking subgraphs, so each one-edge deletion of a minimal graph is grown and
+reaches it, and no member is lost. An extension that contains a member is
+dropped before it is canonicalized. Every grown graph g is member-free, so
+an extension g + e contains a member M only if g contains a one-edge
+deletion M - e' (the copy of M in g + e uses e); only the members that pass
+this test for g, asked once per edge orbit of Aut(M), are looked for in
+g's extensions. Each question is asked of the same compiled copy lister the
+arrowing search uses, which lists only real embeddings, so the drop loses
+no member either.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple, Union
 
-from .arrowing import DEFAULT_NODE_BUDGET, MinimalityReport, has_copy, is_ramsey_minimal
+from .arrowing import DEFAULT_NODE_BUDGET, MinimalityReport, check_budget, has_copy, is_ramsey_minimal
 from .canon import canonical_form
 from .density import m2_pair, rho
 from .graph6 import emit_graph6
@@ -48,6 +52,7 @@ class SearchBounds:
             raise ValueError("bounds must be nonnegative")
         if self.max_vertices > DEFAULT_VERTEX_CAP:
             raise ValueError(f"max_vertices exceeds vertex cap {DEFAULT_VERTEX_CAP}")
+        check_budget(self.node_budget)
 
 
 def _orbit_firsts(items, image, gens) -> Iterator:
@@ -98,19 +103,27 @@ def _extensions(rep: Graph, gens: tuple, bounds: SearchBounds) -> Iterator[Graph
         yield Graph._trusted(n + 2, adj + (0, 0)).add_edge(n, n + 1)
 
 
+# What `grow` returns for a graph: falsy, True, or a test for its extensions.
+Growth = Union[bool, Callable[[Graph], bool]]
+
+
 def enumerate_graphs(
-    bounds: SearchBounds, grow: Optional[Callable[[Graph], bool]] = None
+    bounds: SearchBounds, grow: Optional[Callable[[Graph], Growth]] = None
 ) -> Iterator[Graph]:
     """All isomorphism classes with no isolated vertices, at most
     max_vertices vertices and max_edges edges, each exactly once, in
     nondecreasing edge count. Canonical representatives are emitted.
 
-    With `grow`, a representative g is extended only if grow(g) is true,
-    asked after g has been yielded and the generator resumed. A class is
-    then emitted if it is K2 or one of its one-edge deletions (isolated
-    vertices dropped) is emitted and accepted; when the accepted graphs
-    are closed under taking subgraphs, every one of them is emitted, in
-    the same relative order as without `grow`."""
+    With `grow`, grow(g) is asked about each representative g before it is
+    extended, after g has been yielded and the generator resumed. A falsy
+    value leaves g unextended; True canonicalizes every extension of g; a
+    callable is a test each extension must pass before it is
+    canonicalized, and an extension that fails it is neither canonicalized
+    nor emitted from g. A class is then emitted if it is K2 or one of its
+    one-edge deletions (isolated vertices dropped) is emitted, extended and
+    its test passed by that extension; when the accepted graphs are closed
+    under taking subgraphs, every one of them is emitted, in the same
+    relative order as without `grow`."""
     if bounds.max_vertices < 2 or bounds.max_edges < 1:
         return
     k2 = Graph.from_edges(2, [(0, 1)])
@@ -120,9 +133,13 @@ def enumerate_graphs(
     for _ in range(1, bounds.max_edges):
         nxt: Dict[bytes, Tuple[Graph, tuple]] = {}  # insertion-ordered, by certificate
         for g, gens in level:
-            if grow is not None and not grow(g):
+            growth = True if grow is None else grow(g)
+            if not growth:
                 continue
+            passes = growth if callable(growth) else None
             for child in _extensions(g, gens, bounds):
+                if passes is not None and not passes(child):
+                    continue
                 form = canonical_form(child)
                 if form.certificate not in nxt:
                     rep = child.relabel(form.permutation)
@@ -176,32 +193,62 @@ class MinimalCatalog:
         }
 
 
+def _deletions(M: Graph) -> List[Graph]:
+    """The one-edge deletions of M with isolated vertices dropped, one per
+    orbit of Aut(M) on its edges."""
+    form = canonical_form(M)
+    rep = M.relabel(form.permutation)
+    edges = _orbit_firsts(rep.edges(), _pair_image, form.automorphisms)
+    return [rep.delete_edge(u, v).without_isolated() for u, v in edges]
+
+
 def enumerate_ramsey_minimal(G: Graph, H: Graph, bounds: SearchBounds) -> MinimalCatalog:
     """Every Ramsey-minimal graph for (G,H) within the bounds.
 
-    One pre-filter: a candidate that properly contains an already-found
-    member is skipped, since it arrows but cannot be minimal; `has_copy`
-    asks the search's compiled copy lister, so a missing matching member
-    is ruled out without trying every partial matching. Each other
-    candidate gets one `is_ramsey_minimal` call, which proves it arrows
-    and then searches every single-edge deletion; a candidate with no copy
-    of G or of H is settled at once by the search's first step.
+    Each candidate gets one `is_ramsey_minimal` call, which proves it
+    arrows and then searches every single-edge deletion; a candidate with
+    no copy of G or of H is settled at once by the search's first step.
 
-    A candidate proven to arrow, or skipped, is not grown: a proper
-    supergraph F' of an arrowing F is not minimal, since F' - e still
-    arrows for any edge e outside F. Every one-edge deletion of a minimal
-    graph has no arrowing subgraph, so it is grown and no member is lost."""
+    A candidate proven to arrow is not grown: a proper supergraph F' of an
+    arrowing F is not minimal, since F' - e still arrows for any edge e
+    outside F. Every one-edge deletion of a minimal graph has no arrowing
+    subgraph, so it is grown and no member is lost.
+
+    No candidate contains an earlier member: such a graph arrows but is
+    not minimal, and it is dropped before it is canonicalized. When a
+    graph g is grown, the members M with at most one edge more than g for
+    which g contains some one-edge deletion of M are its near members. g
+    is member-free (a member arrows, so it is not grown), so an extension
+    g + e that contains a member contains a near one (the copy uses e;
+    take it away), and each extension is checked against the near members
+    only. A member's deletions are found the first time they are asked
+    for, one per edge orbit. `has_copy` asks the search's compiled copy
+    lister, so a missing matching is ruled out without trying every
+    partial matching."""
     check_targets(G, H)
     budget = bounds.node_budget
     members: List[CatalogMember] = []
+    deletions: Dict[int, List[Graph]] = {}  # member index -> `_deletions`, once asked for
     complete = True
     closed = set()  # yielded graphs that arrow; by value, as Graph hashes (n, adj)
-    for F in enumerate_graphs(bounds, grow=lambda g: g not in closed):
-        if any(
-            m.graph.edge_count < F.edge_count and has_copy(F, m.graph) for m in members
-        ):
-            closed.add(F)
-            continue
+
+    def is_near(g: Graph, i: int) -> bool:
+        if i not in deletions:
+            deletions[i] = _deletions(members[i].graph)
+        return any(has_copy(g, d) for d in deletions[i])
+
+    def grow(g: Graph) -> Growth:
+        if g in closed:
+            return False
+        near = [
+            m.graph for i, m in enumerate(members)
+            if m.graph.edge_count <= g.edge_count + 1 and is_near(g, i)
+        ]
+        if not near:
+            return True
+        return lambda child: not any(has_copy(child, M) for M in near)
+
+    for F in enumerate_graphs(bounds, grow=grow):
         report = is_ramsey_minimal(F, G, H, budget=budget)
         if report.is_ramsey:
             closed.add(F)

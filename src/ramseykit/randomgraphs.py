@@ -19,7 +19,7 @@ from fractions import Fraction
 from io import StringIO
 from typing import List, Sequence
 
-from .arrowing import DEFAULT_NODE_BUDGET, arrows
+from .arrowing import DEFAULT_NODE_BUDGET, arrows, check_budget
 from .density import _edge_probability, m2_pair
 from .graphs import Graph, check_targets, check_vertex_count
 
@@ -39,6 +39,7 @@ class ExperimentConfig:
 
     def __post_init__(self):
         check_targets(self.G, self.H)
+        check_budget(self.node_budget)
         if self.samples < 1:
             raise ValueError("samples must be at least 1")
         if self.samples > DEFAULT_MAX_SAMPLES:

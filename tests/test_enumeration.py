@@ -7,6 +7,7 @@ import pytest
 from oracles import burnside_counts_by_edges, naive_classes_no_isolated_upto
 from ramseykit import arrowing, enumeration
 from ramseykit import (
+    Graph,
     MinimalCatalog,
     MinimalityReport,
     SearchBounds,
@@ -30,6 +31,14 @@ def test_bounds_validation():
         SearchBounds(-1, 3)
     with pytest.raises(ValueError):
         SearchBounds(100, 3)
+
+
+@pytest.mark.parametrize("budget", [0, -1])
+def test_bounds_reject_a_budget_below_one(budget):
+    # at construction, not at the first search
+    with pytest.raises(ValueError, match="node budget must be at least 1"):
+        SearchBounds(4, 4, node_budget=budget)
+    assert SearchBounds(4, 4, node_budget=1).node_budget == 1
 
 
 def test_two_vertices_gives_k2_only():
@@ -194,6 +203,25 @@ def test_enumerate_graphs_honours_grow():
     assert len(yielded) < len(full)
 
 
+def test_enumerate_graphs_tests_extensions_before_canon(monkeypatch):
+    bounds = SearchBounds(7, 8)
+    full = list(enumerate_graphs(bounds))
+    labeled = []
+    real = enumeration.canonical_form
+
+    def recording(g):
+        labeled.append(g)
+        return real(g)
+
+    monkeypatch.setattr(enumeration, "canonical_form", recording)
+    yielded = list(enumerate_graphs(bounds, grow=lambda g: lambda child: not _has_triangle(child)))
+    # an extension that fails the test is never canonicalized
+    assert labeled and not any(_has_triangle(g) for g in labeled)
+    # triangle-freeness is closed under subgraphs: every such class, in order
+    free = [certificate(g) for g in full if not _has_triangle(g)]
+    assert [certificate(g) for g in yielded] == free
+
+
 def _unpruned_catalog(G, H, bounds):
     """The catalog from every class within the bounds, with only the
     containment pre-filter."""
@@ -238,3 +266,89 @@ def test_pruned_catalog_matches_unpruned_reference(bounds):
         limited += expected["completeness"] == "budget-limited"
     # the budget-limited setting does leave some catalogs incomplete
     assert (limited > 0) == (bounds.node_budget == 5)
+
+
+def _one_edge_extensions(g):
+    """g plus each non-edge, each pendant edge and the fresh disjoint edge."""
+    n = g.n
+    out = [g.add_edge(u, v) for u in range(n) for v in range(u + 1, n) if not g.has_edge(u, v)]
+    for u in range(n):
+        out.append(Graph.from_edges(n + 1, g.edges() + [(u, n)]))
+    out.append(Graph.from_edges(n + 2, g.edges() + [(n, n + 1)]))
+    return out
+
+
+GATE_PATTERNS = ["3K2", "C5", "2K3", "C4", "K4", "P3+K2", "S3+K2"]
+
+
+def test_member_gate_is_a_necessary_condition():
+    # an extension of a graph free of M contains M only if the graph
+    # contains a one-edge deletion of M: the catalog looks for a member only
+    # in the extensions of graphs that pass this test
+    caught = 0
+    for name in GATE_PATTERNS:
+        M = b(name)
+        cuts = [M.delete_edge(u, v).without_isolated() for u, v in M.edges()]
+        # one deletion per edge orbit covers every deletion up to isomorphism
+        assert {certificate(d) for d in enumeration._deletions(M)} == {certificate(d) for d in cuts}
+        for g in enumerate_graphs(SearchBounds(6, 7)):
+            if contains_copy(g, M) is not None:
+                continue
+            near = any(contains_copy(g, d) is not None for d in cuts)
+            for child in _one_edge_extensions(g):
+                if contains_copy(child, M) is not None:
+                    caught += 1
+                    assert near, (name, emit_graph6(g), emit_graph6(child))
+    assert caught > 0
+
+
+@pytest.mark.parametrize(
+    "pair,bounds",
+    [(("2K2", "2K2"), (8, 10)), (("P3", "2K2"), (9, 10)), (("K3", "2K2"), (7, 9))],
+)
+def test_no_candidate_contains_an_earlier_member(monkeypatch, pair, bounds):
+    real = enumeration.is_ramsey_minimal
+    asked = []  # (candidate, whether it is minimal), in the order asked
+
+    def recording(F, G, H, budget):
+        report = real(F, G, H, budget=budget)
+        asked.append((F, report.is_minimal))
+        return report
+
+    monkeypatch.setattr(enumeration, "is_ramsey_minimal", recording)
+    cat = enumerate_ramsey_minimal(b(pair[0]), b(pair[1]), SearchBounds(*bounds))
+    assert cat.members
+    members = []
+    for F, minimal in asked:
+        assert all(contains_copy(F, M) is None for M in members), emit_graph6(F)
+        if minimal:
+            members.append(F)
+    assert [certificate(M) for M in members] == [certificate(M) for M in cat.member_graphs()]
+
+
+def _document(pair, max_v, max_e, members):
+    return {
+        "pair": pair,
+        "bounds": {"max_vertices": max_v, "max_edges": max_e, "node_budget": 100000000},
+        "members": [
+            {"graph6": g6, "vertices": n, "edges": m, "edge_witnesses": m} for g6, n, m in members
+        ],
+        "completeness": "complete within bounds",
+    }
+
+
+@pytest.mark.parametrize(
+    "question,want",
+    [
+        (
+            ("P3", "2K2", 9, 10),
+            _document(["Bg", "C`"], 9, 10, [("C]", 4, 4), ("EW?W", 6, 4), ("DLo", 5, 5)]),
+        ),
+        (("2K2", "K3", 7, 9), _document(["C`", "Bw"], 7, 9, [("EwCW", 6, 6)])),
+    ],
+)
+def test_catalog_documents_are_pinned(question, want):
+    # recorded while every candidate was still canonicalized and checked
+    # for members after it was yielded
+    G, H, max_v, max_e = question
+    assert enumerate_ramsey_minimal(b(G), b(H), SearchBounds(max_v, max_e)).to_document() == want

@@ -61,6 +61,15 @@ def test_config_validation():
         ExperimentConfig(b("K3+K1"), K3, (8,), (1.0,), 1, 0)  # target with an isolated vertex
 
 
+@pytest.mark.parametrize("budget", [0, -1])
+def test_config_rejects_a_budget_below_one(budget):
+    # at construction, not at the first search
+    K3 = b("K3")
+    with pytest.raises(ValueError, match="node budget must be at least 1"):
+        ExperimentConfig(K3, K3, (8,), (1.0,), 1, 0, node_budget=budget)
+    assert ExperimentConfig(K3, K3, (8,), (1.0,), 1, 0, node_budget=1).node_budget == 1
+
+
 def _small_config(**kw):
     defaults = dict(
         G=b("K3"),
