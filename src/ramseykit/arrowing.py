@@ -6,19 +6,18 @@ and by copy listing. Containment (`_extend`) is an explicit-stack search
 over it for a first embedding, with no symmetry conditions.
 
 Copy listing adds symmetry conditions from Aut(pattern) (`_above`), found
-by asking `_extend` for an automorphism of the pattern through a pinned
-prefix, and compiles the plan with its conditions once per pattern into
-a lister: generated Python with one nested bit loop per position, whose
-source holds only the plan's integers (`_lister_source`). Where
-isomorphic components are ordered by their first images, the first
-position of each checks that enough unused vertices of high enough degree
-remain above its image for the later components (`_room`), so a kK2 with
-few copies in the host is listed in about as many steps as it has copies,
-not 2^k. The lister never calls `_extend` and containment never runs the
-lister, so `naive_arrows` and `EdgeColoring.is_good` stay a separate
-check on the search below; a networkx VF2 oracle in the tests checks
-both. `has_copy` asks the lister for a first copy; the catalog's member
-checks use it.
+by asking `_extend` for automorphisms through a pinned prefix, and
+compiles the plan with them once per pattern into a kernel of nested bit
+loops, one per position, generated from the plan's integers only
+(`_kernel_source`). Where isomorphic components are ordered by their
+first images, the first position of each checks that enough unused
+vertices of high enough degree remain above its image for the later
+components (`_conditions`), so a kK2 with few copies in the host is
+listed in about as many steps as it has copies, not 2^k. The kernel never
+calls `_extend` and containment never runs the kernel, so `naive_arrows`
+and `EdgeColoring.is_good` stay a separate check on the search below, and
+a networkx VF2 oracle in the tests checks both. `has_copy` asks the kernel
+for a first copy; the catalog's member checks use it.
 
 When G and H are matchings sK2 and tK2, F arrows as soon as it has more
 edges than ex(N, s) + ex(N, t), where N counts F's non-isolated vertices
@@ -30,19 +29,15 @@ m, n <= 4, but not from (5K2, 5K2) on, where the search still decides.
 The count cannot cut deeper in the tree: red, blue and free edges always
 sum to F's edge count.
 
-The decision works on the copy hypergraph of F. Every copy of G and of H
-in F is listed once, by its vertex images, from F's degrees computed once
-per host. A coloring is good exactly when every G-copy has a blue edge and
-every H-copy has a red edge. If F has no G-copy the all-red coloring is
-good, and if it has no H-copy the all-blue one is; both exits come before
-any per-edge bookkeeping.
-
-Otherwise the copies are indexed in one pass. The edges of F take bits in
-a fixed order (descending endpoint degree sum), looked up in a flat table
-indexed u * n + v. One loop over each copy list turns every copy into its
-edge bitmask and files it under each of its edges. G and H have the same
-copies in every host exactly when they are isomorphic. Then H's copies are
-not listed again, and one index serves both colors.
+The decision works on the copy hypergraph of F: every copy of G and of H
+in F, once, as a bitmask over F's edges, filed under each of its edges as
+the kernel lists it. The edges take bits in a fixed order (descending
+endpoint degree sum), from a table of rows, eidx[u][v], that the kernel
+builds at its first copy. A coloring is good exactly when every G-copy has
+a blue edge and every H-copy has a red edge, so with no G-copy (H-copy)
+all red (blue) is good and no table is built. G and H have the same
+copies in every host exactly when they are isomorphic; then H's copies
+are not listed again.
 
 An explicit-stack search colors the lowest free edge red, then blue, with
 unit propagation: a G-copy with no blue edge and one uncolored edge left
@@ -171,7 +166,7 @@ def contains_copy(host: Graph, pattern: Graph) -> Optional[Dict[int, int]]:
 # Copy enumeration
 
 
-# Python nests at most 20 blocks in one function, so a generated lister
+# Python nests at most 20 blocks in one function, so a generated kernel
 # holds the loops of this many positions per function and chains the rest.
 _SEGMENT = 16
 
@@ -182,178 +177,193 @@ def _above(core: Graph, anchors, need):
     Aut(pattern): for each position i, the image of i is below the image of
     every other vertex in the orbit of i under the automorphisms fixing
     positions 0..i-1 (Grochow-Kellis, RECOMB 2007). Each copy then has
-    exactly one admitted embedding, and Aut(pattern) is never listed."""
+    exactly one admitted embedding, and Aut(pattern) is never listed.
+
+    Such an automorphism maps i's component C onto itself unless i starts
+    C. The orbit within C depends only on C's plan shape (its rows, shifted
+    to start at 0), so `_extend` is asked once per shape and position; a
+    later component of C's shape takes the orbit of C's first position,
+    shifted."""
     k = core.n
+    starts = [i for i in range(k) if not anchors[i]]
+    ends = starts[1:] + [k]
+    comps = [(s, e, tuple(row >> s for row in core.adj[s:e])) for s, e in zip(starts, ends)]
     above: List[list] = [[] for _ in range(k)]
+    orbits: Dict[tuple, list] = {}  # (shape, i - s): the later positions of i's orbit in C, minus s
+
+    def maps(i, w):  # an automorphism fixing 0..i-1 and sending i to w? (need is core's degrees)
+        ok = need[w] == need[i] and all(core.has_edge(j, w) for j in anchors[i])
+        return ok and _extend(core.adj, k, anchors, need, tuple(range(i)) + (w,)) is not None
+
+    c = -1
     for i in range(k):
-        for w in range(i + 1, k):
-            if need[w] != need[i] or not all(core.has_edge(j, w) for j in anchors[i]):
-                continue
-            # an automorphism fixing 0..i-1 and sending i to w? (need is
-            # also core's degree list)
-            if _extend(core.adj, k, anchors, need, tuple(range(i)) + (w,)) is not None:
-                above[w].append(i)
+        c += not anchors[i]
+        s, e, shape = comps[c]
+        if (shape, i - s) not in orbits:
+            orbits[shape, i - s] = [w - s for w in range(i + 1, e) if maps(i, w)]
+        hits = [s + d for d in orbits[shape, i - s]]
+        if i == s:
+            orbit = [0] + orbits[shape, 0]
+            for s2, e2, shape2 in comps[c + 1 :]:
+                hits += [s2 + d for d in orbit] if shape2 == shape else [w for w in range(s2, e2) if maps(i, w)]
+        for w in hits:
+            above[w].append(i)
     return tuple(tuple(a) for a in above)
 
 
-def _room(anchors, need, above):
-    """The room checks of a plan, by position. At the first position i of
-    a component, r counts the later positions of other components that
-    `above`, through its transitive closure, forces to take images above
-    v_i, and d is the smallest of their needs: room[i] is (r, d) when r is
-    positive, else None. Such positions exist only for isomorphic
-    components, ordered by the conditions on their first positions."""
+def _conditions(anchors, need, above):
+    """The conditions a kernel checks, by position: (direct, room).
+    direct[j] is above[j] less the positions that `above` already forces
+    below another one of them. At the first position i of a component, r
+    counts the later positions of other components that `above`, through
+    its transitive closure, forces to take images above v_i, and d is the
+    smallest of their needs: room[i] is (r, d) when r is positive, else
+    None. Such positions exist only for isomorphic components, ordered by
+    the conditions on their first positions."""
     k = len(need)
     first = []  # first[j]: the first position of j's component
     below = []  # below[j]: bitmask of the positions whose image is below j's
+    direct = []
     room: List[Optional[tuple]] = [None] * k
     for j in range(k):
         first.append(first[anchors[j][0]] if anchors[j] else j)
-        mask = 0
+        implied = 0
         for i in above[j]:
-            mask |= 1 << i | below[i]
-        below.append(mask)
+            implied |= below[i]
+        direct.append(tuple(i for i in above[j] if not implied >> i & 1))
+        below.append(implied | sum(1 << i for i in above[j]))
     for i in range(k):
         if first[i] == i:
             forced = [need[j] for j in range(i + 1, k) if below[j] >> i & 1 and first[j] != i]
             if forced:
                 room[i] = (len(forced), min(forced))
-    return room
+    return direct, room
 
 
-def _lister_source(anchors, need, above) -> str:
-    """The Python source of the copy lister for the plan (`anchors`,
-    `need`, `above`), built from the plan's integers only. The lister is
-    called as lister(adj, degs, limit) and returns the images of every
-    copy, in the lexicographic order of the image tuples, or the first
-    limit + 1.
+def _kernel_source(anchors, need, above) -> str:
+    """The Python source of the copy kernel for the plan (`anchors`,
+    `need`, `above`), built from the plan's integers only. The kernel is
+    called as kernel(adj, degs, limit, edges, eidx, through) on a host with
+    adjacency rows `adj` and degrees `degs`. It lists the copies in the
+    lexicographic order of their images by position, ORs 1 <<
+    eidx[u][v] over the edges uv of each into its mask, and files the
+    mask in through[e] for each of its edges e (at the first copy, an empty
+    `eidx` is filled by `_edge_order`). It returns (copies, the union of
+    the masks), and stops right after copy limit + 1.
 
     Position i has one `while c_i:` loop over its candidates, lowest vertex
     first: the vertices of degree >= need[i], AND the rows of its anchors'
-    images, AND `-2 << v_j` for each j in above[i], AND NOT the earlier
-    images that are not anchors (an anchor's row excludes the anchor's
-    image). At the first position of a component with a room check
-    (`_room`: r later positions of other components forced above it, the
-    smallest of their needs d), the loop breaks once fewer than r unused
-    vertices above v_i have degree >= d: a larger candidate leaves fewer
-    still. So kK2 in a host with few copies costs about as many steps as
-    it has copies, not 2^k. The innermost loop appends a copy per
-    candidate; the limit is checked once per innermost loop and the
-    overshoot cut. Positions past the first `_SEGMENT` continue in a
-    chained function, which gets the earlier images as a tuple `p` and
-    their union `u`, and returns True when the limit was passed."""
+    images, AND `-2 << v_j` for each j in direct[i], AND NOT the earlier
+    images that are not anchors (`_conditions`). At the first position of a
+    component with a room check (r later positions of other components
+    forced above it, the smallest of their needs d), the loop breaks once
+    fewer than r unused vertices above v_i have degree >= d: a larger
+    candidate leaves fewer still. When the last position has candidates,
+    the edges among the earlier images are read once; each candidate reads
+    its own. Positions past the first `_SEGMENT` continue in a chained
+    function, which gets the earlier images as a tuple `p` and their union
+    `u`, and returns the running (copies, union)."""
     k = len(need)
-    room = _room(anchors, need, above)
+    direct, room = _conditions(anchors, need, above)
     fits = sorted(set(need))
-    fit_args = ", ".join(f"f{d}" for d in fits)
-    lines = [
-        "def _list(adj, degs, limit):",
-        "    " + " = ".join(f"f{d}" for d in fits) + " = 0",
-        "    for v, d in enumerate(degs):",
-    ]
-    for d in fits:
-        lines += [f"        if d >= {d}:", f"            f{d} |= 1 << v"]
-    lines.append("    out = []")
+    args = "adj, degs, limit, edges, eidx, through" + "".join(f", f{d}" for d in fits)
+    pedges = [(j, i) for i in range(k) for j in anchors[i]]
+    old = [f"1 << e{j}_{h}" for j, h in pedges if h < k - 1]  # the bits of the edges before the last position
+    lines = ["def _list(adj, degs, limit, edges, eidx, through):"]
+    if fits:
+        lines += ["    " + " = ".join(f"f{d}" for d in fits) + " = 0", "    for v, d in enumerate(degs):"]
+        for d in fits:
+            lines += [f"        if d >= {d}:", f"            f{d} |= 1 << v"]
+    # a pattern with no vertices has one copy, with no edges
+    lines.append("    count = live = 0" if k else "    count, live = 1, 0")
     for start in range(0, k, _SEGMENT):
         end = min(start + _SEGMENT, k)
-        stop = "return out" if not start else "return True"
         if start:
-            lines += ["", f"def _s{start}(adj, out, limit, {fit_args}, u, p):"]
-            earlier = sorted({j for i in range(start, end) for j in anchors[i] + above[i] if j < start})
-            lines += [f"    v{j} = p[{j}]" for j in earlier]
-        lines.append("    append = out.append")
+            lines += ["    return count, live", "", f"def _s{start}({args}, count, live, u, p):"]
+            lines.append(f"    {', '.join(f'v{j}' for j in range(start))}, = p")
         for i in range(start, end):
             pad = "    " * (1 + i - start)
-            terms = [f"f{need[i]}"] + [f"adj[v{j}]" for j in anchors[i]]
-            terms += [f"(-2 << v{j})" for j in above[i]]
+            terms = [f"f{need[i]}"] + [f"adj[v{j}]" for j in anchors[i]] + [f"(-2 << v{j})" for j in direct[i]]
             free = [j for j in range(i) if j not in anchors[i]]
-            unused = [f"b{j}" for j in free if j >= start]
-            if start and any(j < start for j in free):
-                unused.append("u")
+            unused = [f"b{j}" for j in free if j >= start] + ["u"] * any(j < start for j in free)
             if unused:
                 terms.append(f"~({' | '.join(unused)})")
-            lines += [
-                f"{pad}c{i} = {' & '.join(terms)}",
-                f"{pad}while c{i}:",
-                f"{pad}    b{i} = c{i} & -c{i}",
-                f"{pad}    c{i} ^= b{i}",
-            ]
-            images = [f"v{j}" for j in range(start, i)]
-            if i == k - 1:
-                copy = f"({', '.join(images + [f'b{i}.bit_length() - 1'])},)"
-                lines += [
-                    f"{pad}    append({'p + ' if start else ''}{copy})",
-                    f"{pad}if len(out) > limit:",
-                    f"{pad}    del out[limit + 1:]",
-                    f"{pad}    {stop}",
-                ]
-            else:
+            lines.append(f"{pad}c{i} = {' & '.join(terms)}")
+            if i == k - 1 and pedges:
+                lines += [f"{pad}if c{i}:", f"{pad}    if not eidx:"]
+                lines.append(f"{pad}        _edge_order(adj, degs, edges, eidx, through)")
+                lines += [f"{pad}    e{j}_{h} = eidx[v{j}][v{h}]" for j, h in pedges if h < k - 1]
+                lines += [f"{pad}    m = {' | '.join(old)}"] * bool(old)
+                pad += "    "
+            lines += [f"{pad}while c{i}:", f"{pad}    b{i} = c{i} & -c{i}", f"{pad}    c{i} ^= b{i}"]
+            if i < k - 1 or anchors[i]:
                 lines.append(f"{pad}    v{i} = b{i}.bit_length() - 1")
             if room[i]:
                 r, d = room[i]
                 used = ["u"] * bool(start) + [f"b{j}" for j in range(start, i)]
-                mask = f"f{d} & (-2 << v{i})" + (f" & ~({' | '.join(used)})" if used else "")
-                lines += [f"{pad}    if ({mask}).bit_count() < {r}:", f"{pad}        break"]
-            if i == end - 1 and i < k - 1:
+                room_mask = f"f{d} & (-2 << v{i})" + (f" & ~({' | '.join(used)})" if used else "")
+                lines += [f"{pad}    if ({room_mask}).bit_count() < {r}:", f"{pad}        break"]
+            if i == k - 1:
+                lines += [f"{pad}    e{j}_{i} = eidx[v{j}][v{i}]" for j in anchors[i]]
+                if pedges:
+                    own = [f"1 << e{j}_{i}" for j in anchors[i]]
+                    lines.append(f"{pad}    x = {' | '.join(['m'] * bool(old) + own)}")
+                    lines += [f"{pad}    through[e{j}_{h}].append(x)" for j, h in pedges]
+                    lines.append(f"{pad}    live |= x")
+                lines.append(f"{pad}    count += 1")
+            elif i == end - 1:
                 seen = " | ".join(["u"] * bool(start) + [f"b{j}" for j in range(start, end)])
-                prefix = f"{'p + ' if start else ''}({', '.join(images + [f'v{i}'])},)"
-                lines += [
-                    f"{pad}    if _s{end}(adj, out, limit, {fit_args}, {seen}, {prefix}):",
-                    f"{pad}        {stop}",
-                ]
-        lines.append("    return out" if not start else "    return False")
+                images = f"{'p + ' if start else ''}({', '.join(f'v{j}' for j in range(start, end))},)"
+                lines.append(f"{pad}    count, live = _s{end}({args}, count, live, {seen}, {images})")
+            else:
+                continue
+            lines += [f"{pad}    if count > limit:", f"{pad}        return count, live"]
+    lines.append("    return count, live")
     return "\n".join(lines) + "\n"
 
 
-def _compile_lister(anchors, need, above):
-    """The copy lister of `_lister_source`, compiled."""
-    namespace: dict = {}
-    exec(compile(_lister_source(anchors, need, above), "<copy lister>", "exec"), namespace)
-    return namespace["_list"]
+def _edge_order(adj, degs, edges, eidx, through):
+    """Fill the empty lists `edges` with the edges of the host with rows
+    `adj` by descending endpoint degree sum, lexicographic within a sum, in
+    one pass over the rows; `eidx` with rows of their indices, eidx[u][v]
+    for edge uv; and `through` with one empty list per edge."""
+    n = len(adj)
+    by_sum: Dict[int, list] = {}
+    for u in range(n):
+        row = adj[u] >> (u + 1) << (u + 1)
+        du = degs[u]
+        while row:
+            low = row & -row
+            row ^= low
+            v = low.bit_length() - 1
+            by_sum.setdefault(du + degs[v], []).append((u, v))
+    for s in sorted(by_sum, reverse=True):
+        edges.extend(by_sum[s])
+    eidx.extend([0] * n for _ in range(n))
+    for i, (u, v) in enumerate(edges):
+        eidx[u][v] = eidx[v][u] = i
+        through.append([])
 
 
 @lru_cache(maxsize=4096)
 def _copy_plan(pattern: Graph):
-    """What copy listing adds to `_plan(pattern)`: the compiled lister of
-    the plan with its symmetry conditions (`_above`), and the pattern edges
-    as position pairs."""
+    """The copy kernel of `_kernel_source` for `_plan(pattern)` with its
+    symmetry conditions (`_above`), compiled once per pattern."""
     _, core, anchors, need = _plan(pattern)
-    return _compile_lister(anchors, need, _above(core, anchors, need)), tuple(core.edges())
-
-
-def _copies(F: Graph, degs: List[int], pattern: Graph, limit: int) -> List[tuple]:
-    """Vertex images (in plan position order) of the copies of `pattern`
-    in F, whose vertex degrees are `degs`, one per copy; limit + 1 of them
-    means there are more than `limit`."""
-    if pattern.n > F.n:
-        return []
-    return _copy_plan(pattern)[0](F.adj, degs, limit)
+    namespace = {"_edge_order": _edge_order}
+    exec(compile(_kernel_source(anchors, need, _above(core, anchors, need)), "<copy kernel>", "exec"), namespace)
+    return namespace["_list"]
 
 
 def has_copy(host: Graph, pattern: Graph) -> bool:
-    """Whether host contains pattern, asked of the compiled copy lister for
-    a first copy: its symmetry conditions and room checks prune what
-    `contains_copy` walks in full (every partial matching, for a kK2
-    missing from the host). `contains_copy` stays the separate check
-    behind `EdgeColoring.is_good`."""
-    return bool(_copies(host, [row.bit_count() for row in host.adj], pattern, 0))
-
-
-def _index(imgs: List[tuple], pattern: Graph, ebit: List[int], n: int, through: List[list]) -> int:
-    """Append the edge mask of each copy in `imgs` to `through[e]` for
-    every edge e it uses, where `ebit[u * n + v]` is the bit of edge uv.
-    Returns the union of the masks."""
-    pedges = _copy_plan(pattern)[1]
-    live = 0
-    for img in imgs:
-        bits = []
-        for a, b in pedges:
-            bits.append(ebit[img[a] * n + img[b]])
-        c = sum(bits)
-        live |= c
-        for bit in bits:
-            through[bit.bit_length() - 1].append(c)
-    return live
+    """Whether host contains pattern, asked of the copy kernel for a first
+    copy (every edge index 0): its symmetry conditions and room checks
+    prune what `contains_copy` walks in full (every partial matching, for a
+    kK2 missing from the host)."""
+    if pattern.n > host.n:
+        return False
+    degs = [row.bit_count() for row in host.adj]
+    return _copy_plan(pattern)(host.adj, degs, 0, [], [[0] * host.n] * host.n, [[]])[0] > 0
 
 
 # ---------------------------------------------------------------------------
@@ -485,42 +495,32 @@ def _search(F: Graph, G: Graph, H: Graph, budget: int):
         N = sum(1 for row in F.adj if row)
         if F.edge_count > _matching_free_edges(N, G.edge_count) + _matching_free_edges(N, H.edge_count):
             return True, None, 0
-    n = F.n
     degs = [row.bit_count() for row in F.adj]
+    edges, eidx, g_through = [], [], []  # the kernel fills them at the first copy
     limit = min(budget, MAX_COPIES)
-    g_imgs = _copies(F, degs, G, limit)
-    if not g_imgs:
+    nodes, g_live = _copy_plan(G)(F.adj, degs, limit, edges, eidx, g_through)
+    if not nodes:
         return False, _monochrome(F, RED), 0
-    if len(g_imgs) > limit:
+    if nodes > limit:
         # Too many G-copies to list; only a missing H-copy still decides.
-        if _copies(F, degs, H, 0):
+        if _copy_plan(H)(F.adj, degs, 0, edges, eidx, g_through)[0]:
             return None, None, limit
         return False, _monochrome(F, BLUE), limit
-    nodes = len(g_imgs)
+    m = len(edges)
     # Targets without isolated vertices have the same copies in every host
     # exactly when they are isomorphic.
     swap = H == G or (G.n == H.n and G.edge_count == H.edge_count and are_isomorphic(G, H))
-    if not swap:
-        limit = min(budget - nodes, MAX_COPIES)
-        h_imgs = _copies(F, degs, H, limit)
-        if not h_imgs:
-            return False, _monochrome(F, BLUE), nodes
-        if len(h_imgs) > limit:
-            return None, None, nodes + limit
-        nodes += len(h_imgs)
-
-    edges = sorted(F.edges(), key=lambda e: -(degs[e[0]] + degs[e[1]]))
-    m = len(edges)
-    ebit = [0] * (n * n)
-    for i, (u, v) in enumerate(edges):
-        ebit[u * n + v] = ebit[v * n + u] = 1 << i
-    g_through: List[list] = [[] for _ in range(m)]
-    g_live = _index(g_imgs, G, ebit, n, g_through)
     if swap:
         h_through, h_live = g_through, g_live
     else:
+        limit = min(budget - nodes, MAX_COPIES)
         h_through = [[] for _ in range(m)]
-        h_live = _index(h_imgs, H, ebit, n, h_through)
+        count, h_live = _copy_plan(H)(F.adj, degs, limit, edges, eidx, h_through)
+        if not count:
+            return False, _monochrome(F, BLUE), nodes
+        if count > limit:
+            return None, None, nodes + limit
+        nodes += count
     live = g_live | h_live
     # a one-edge target makes every copy a single edge, forced at the root
     blue = g_live if G.edge_count == 1 else 0

@@ -24,7 +24,7 @@ dropped before it is canonicalized. Every grown graph g is member-free, so
 an extension g + e contains a member M only if g contains a one-edge
 deletion M - e' (the copy of M in g + e uses e); only the members that pass
 this test for g, asked once per edge orbit of Aut(M), are looked for in
-g's extensions. Each question is asked of the same compiled copy lister the
+g's extensions. Each question is asked of the same compiled copy kernel the
 arrowing search uses, which lists only real embeddings, so the drop loses
 no member either.
 """
@@ -223,7 +223,7 @@ def enumerate_ramsey_minimal(G: Graph, H: Graph, bounds: SearchBounds) -> Minima
     take it away), and each extension is checked against the near members
     only. A member's deletions are found the first time they are asked
     for, one per edge orbit. `has_copy` asks the search's compiled copy
-    lister, so a missing matching is ruled out without trying every
+    kernel, so a missing matching is ruled out without trying every
     partial matching."""
     check_targets(G, H)
     budget = bounds.node_budget

@@ -23,7 +23,8 @@ from ramseykit import (
     sample_gnp,
     threshold_p,
 )
-from ramseykit.arrowing import UnknownVerdictError, _above, _copies, _lister_source, _plan, has_copy
+from ramseykit.arrowing import UnknownVerdictError, _above, _conditions, _copy_plan, _edge_order, _plan, has_copy
+from ramseykit.canon import are_isomorphic
 from ramseykit.graphs import VertexCapError
 from ramseykit.randomgraphs import edge_uniforms, graph_from_uniforms
 
@@ -42,6 +43,21 @@ def test_contains_k3_in_k4():
 
 
 PATTERNS = ["K3", "2K2", "P3", "C4", "K3+K2", "C5", "3K2", "S3+K2", "P4"]
+
+
+def _masks(F, P, limit=10**6):
+    # the edge masks of P's copies in F, in listing order, under the search's
+    # edge order: with one list standing for every edge, each copy appends
+    # its mask once per pattern edge, in a row
+    degs = [row.bit_count() for row in F.adj]
+    edges, eidx, seq = [], [], []
+    _edge_order(F.adj, degs, edges, eidx, [])
+    count, live = _copy_plan(P)(F.adj, degs, limit, edges, eidx, [seq] * F.edge_count)
+    masks = seq[:: P.edge_count]
+    assert seq == [c for c in masks for _ in range(P.edge_count)]
+    assert count == len(masks)
+    assert live == sum(1 << e for e in range(F.edge_count) if any(c >> e & 1 for c in masks))
+    return masks
 
 
 def test_containment_mappings_are_pinned():
@@ -66,8 +82,7 @@ def test_containment_and_copy_listing_agree_with_vf2():
             assert (m is not None) == (want > 0) == has_copy(F, P), (name, F.edges())
             if m is not None:
                 _check_embedding(F, P, m)
-            degs = [row.bit_count() for row in F.adj]
-            assert len(_copies(F, degs, P, 10**6)) == want, (name, F.edges())
+            assert len(_masks(F, P)) == want, (name, F.edges())
 
 
 def test_copy_lists_are_pinned():
@@ -75,59 +90,98 @@ def test_copy_lists_are_pinned():
     # to the candidate order or to the symmetry conditions shows here
     lines = []
     for F in enumerate_graphs(SearchBounds(7, 9)):
-        degs = [row.bit_count() for row in F.adj]
         for name in PATTERNS:
-            lines.append(repr(_copies(F, degs, b(name), 10**6)))
-    assert hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16] == "458f102ab75d17d2"
+            lines.append(repr(_masks(F, b(name))))
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16] == "461994aaa475d2a0"
+
+
+def test_every_copy_is_filed_under_exactly_its_own_edges():
+    # the kernel builds the edge table at the first copy, and not on a host
+    # without one; through[e] then holds, in listing order, exactly the
+    # masks with bit e; every mask is the edge set of a copy of the
+    # pattern, and no copy comes twice
+    for F in enumerate_graphs(SearchBounds(7, 9)):
+        degs = [row.bit_count() for row in F.adj]
+        edges, eidx, through = [], [], []
+        _edge_order(F.adj, degs, edges, eidx, through)
+        assert sorted(edges) == F.edges() and through == [[] for _ in edges] and len(eidx) == F.n
+        assert all(eidx[u][v] == eidx[v][u] == i for i, (u, v) in enumerate(edges))
+        sums = [degs[u] + degs[v] for u, v in edges]
+        assert sums == sorted(sums, reverse=True)
+        for name in PATTERNS:
+            P = b(name)
+            masks = _masks(F, P)
+            table = ([], [], [])
+            count, live = _copy_plan(P)(F.adj, degs, 10**6, *table)
+            assert count == len(masks) == len(set(masks)), (name, F.edges())
+            if not masks:
+                assert table == ([], [], []), (name, F.edges())
+                continue
+            assert table[:2] == (edges, eidx), (name, F.edges())
+            assert table[2] == [[c for c in masks if c >> e & 1] for e in range(len(edges))], (name, F.edges())
+            for c in masks:
+                copy = Graph.from_edges(F.n, [edges[e] for e in range(len(edges)) if c >> e & 1])
+                assert are_isomorphic(copy.without_isolated(), P), (name, F.edges(), c)
 
 
 @pytest.mark.parametrize("pattern,host,count", [("P22", "C24", 24), ("P30", "C32", 32)])
 def test_chained_listers_agree_with_vf2(pattern, host, count):
     # over 16 positions the lister continues in a chained function
     P, F = b(pattern), b(host)
-    degs = [row.bit_count() for row in F.adj]
-    assert len(_copies(F, degs, P, 10**6)) == vf2_copy_count(F, P) == count
+    assert len(_masks(F, P)) == vf2_copy_count(F, P) == count
 
 
 @pytest.mark.parametrize("pattern,host,count", [("K3", "K7", 35), ("12K2", "13K2", 13)])
 def test_copy_listing_stops_right_after_the_limit(pattern, host, count):
     # K3 in K7 lists up to five copies per innermost loop, 12K2 in 13K2 one
     # per loop of its chained function: every cut-off, inside a loop's
-    # candidates or at the end of them, returns the first limit + 1 copies
+    # candidates or at the end of them, files the first limit + 1 copies
     P, F = b(pattern), b(host)
-    degs = [row.bit_count() for row in F.adj]
-    full = _copies(F, degs, P, 10**6)
+    full = _masks(F, P)
     assert len(full) == count
     for limit in range(count + 2):
-        assert _copies(F, degs, P, limit) == full[: limit + 1], limit
+        assert _masks(F, P, limit) == full[: limit + 1], limit
 
 
-def _source_digest(name):
+def _room_checks(name):
     _, core, anchors, need = _plan(b(name))
-    return hashlib.sha256(_lister_source(anchors, need, _above(core, anchors, need)).encode()).hexdigest()[:16]
+    return [r for r in _conditions(anchors, need, _above(core, anchors, need))[1] if r]
 
 
-def test_listers_without_room_checks_are_unchanged():
-    # room checks are generated only where isomorphic components are
-    # ordered, so these sources are those of the listers without them
-    pinned = {
-        "K3": "831f762e10db3a47",
-        "K4": "c5dd47bba029015b",
-        "C4": "61ce1775151695b2",
-        "P5": "e7db5938142a7a77",
-        "P22": "cb6a90086d601a5b",
-        "K3+K2": "99214f65e8c9da84",
-    }
-    assert {name: _source_digest(name) for name in pinned} == pinned
+def test_room_checks_only_where_isomorphic_components_are_ordered():
+    for name in ("K3", "K4", "C4", "P5", "P22", "K3+K2"):
+        assert _room_checks(name) == [], name
+    assert _room_checks("4K2") == [(6, 1), (4, 1), (2, 1)]
+    assert _room_checks("2K3+K2") == [(3, 2)]
+
+
+def test_has_copy_of_the_pattern_without_vertices():
+    empty = Graph.from_edges(0, [])
+    for host in (b("K3"), empty):
+        assert has_copy(host, empty)
+        assert contains_copy(host, empty) == {}
 
 
 def test_matching_lister_grows_with_the_copies_not_2_to_the_k():
     F, P = b("21K2"), b("20K2")
-    degs = [row.bit_count() for row in F.adj]
     t0 = time.perf_counter()
-    copies = _copies(F, degs, P, 10**6)
+    copies = _masks(F, P)
     assert time.perf_counter() - t0 < 0.1
     assert len(copies) == 21
+
+
+def test_kernel_compiles_in_time_linear_in_the_components():
+    # a component's orbit settles every later component of the same plan
+    # shape, and implied symmetry conditions are not generated; one
+    # _extend call per pair of positions would take about 1 s here
+    P = b("100K2")
+    t0 = time.perf_counter()
+    _copy_plan.__wrapped__(P)
+    assert time.perf_counter() - t0 < 0.1
+    _, core, anchors, need = _plan(P)
+    # the orbit of a component's first position, with the earlier
+    # components fixed, is every later vertex
+    assert _above(core, anchors, need) == tuple(tuple(range(0, w, 2)) for w in range(200))
 
 
 @pytest.mark.parametrize("name", ["2K2", "4K2", "2K3", "3P3", "2C4+K2", "2K3+3K2", "S3+2P3"])
@@ -138,8 +192,7 @@ def test_room_checks_lose_no_copy(name):
     hosts = [sample_gnp(n, p, seed) for n, p in ((8, 0.4), (10, 0.2)) for seed in range(2)]
     hosts += [b(h) for h in ("5K2+P4", "2K3+2K2", "3P3+K2", "2C4+2K2", "K4+2P3")]
     for F in hosts:
-        degs = [row.bit_count() for row in F.adj]
-        assert len(_copies(F, degs, P, 10**6)) == vf2_copy_count(F, P), (name, F.edges())
+        assert len(_masks(F, P)) == vf2_copy_count(F, P), (name, F.edges())
         assert has_copy(F, P) == (contains_copy(F, P) is not None), (name, F.edges())
 
 
