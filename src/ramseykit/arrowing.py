@@ -249,7 +249,8 @@ def _kernel_source(anchors, need, above) -> str:
     eidx[u][v] over the edges uv of each into its mask, and files the
     mask in through[e] for each of its edges e (at the first copy, an empty
     `eidx` is filled by `_edge_order`). It returns (copies, the union of
-    the masks), and stops right after copy limit + 1.
+    the masks), and stops right after copy limit + 1; at once, with (0, 0),
+    when fewer vertices than the pattern's have the smallest need.
 
     Position i has one `while c_i:` loop over its candidates, lowest vertex
     first: the vertices of degree >= need[i], AND the rows of its anchors'
@@ -274,6 +275,7 @@ def _kernel_source(anchors, need, above) -> str:
         lines += ["    " + " = ".join(f"f{d}" for d in fits) + " = 0", "    for v, d in enumerate(degs):"]
         for d in fits:
             lines += [f"        if d >= {d}:", f"            f{d} |= 1 << v"]
+        lines += [f"    if f{fits[0]}.bit_count() < {k}:", "        return 0, 0"]
     # a pattern with no vertices has one copy, with no edges
     lines.append("    count = live = 0" if k else "    count, live = 1, 0")
     for start in range(0, k, _SEGMENT):
@@ -360,8 +362,6 @@ def has_copy(host: Graph, pattern: Graph) -> bool:
     copy (every edge index 0): its symmetry conditions and room checks
     prune what `contains_copy` walks in full (every partial matching, for a
     kK2 missing from the host)."""
-    if pattern.n > host.n:
-        return False
     degs = [row.bit_count() for row in host.adj]
     return _copy_plan(pattern)(host.adj, degs, 0, [], [[0] * host.n] * host.n, [[]])[0] > 0
 

@@ -162,6 +162,22 @@ def test_has_copy_of_the_pattern_without_vertices():
         assert contains_copy(host, empty) == {}
 
 
+def test_patterns_larger_than_the_host_are_answered_at_once():
+    # K11 holds no P12, but every vertex has degree >= 2: without the
+    # kernel's vertex count the walk tries about 11! vertex orders, and the
+    # node budget, which counts copies, never stops it
+    K11, P12, K3 = b("K11"), b("P12"), b("K3")
+    t0 = time.perf_counter()
+    for F in (K11, Graph.from_edges(12, K11.edges())):  # K11 plus an isolated vertex
+        assert not has_copy(F, P12)
+        v = find_good_coloring(F, P12, K3)
+        assert (v.arrows, v.nodes, v.witness.assignment) == (False, 0, dict.fromkeys(F.edges(), "red"))
+        v = find_good_coloring(F, K3, P12)
+        assert (v.arrows, v.nodes, v.witness.assignment) == (False, 165, dict.fromkeys(F.edges(), "blue"))
+    assert ramsey_number_complete(P12, K3, 11) is None
+    assert time.perf_counter() - t0 < 0.5
+
+
 def test_matching_lister_grows_with_the_copies_not_2_to_the_k():
     F, P = b("21K2"), b("20K2")
     t0 = time.perf_counter()
