@@ -503,7 +503,7 @@ def _search(F: Graph, G: Graph, H: Graph, budget: int):
         return False, _monochrome(F, RED), 0
     if nodes > limit:
         # Too many G-copies to list; only a missing H-copy still decides.
-        if _copy_plan(H)(F.adj, degs, 0, edges, eidx, g_through)[0]:
+        if has_copy(F, H):
             return None, None, limit
         return False, _monochrome(F, BLUE), limit
     m = len(edges)

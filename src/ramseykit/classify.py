@@ -12,7 +12,7 @@ guesses it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional
 
 from .graphs import Graph, Matching, build, check_targets, components
 
@@ -73,67 +73,63 @@ class Classification:
         return doc
 
 
-def shape_of(F: Graph) -> Optional[StarForestShape]:
-    """Star-forest shape of F, or None if some component is not a star.
-    Single edges count toward the matching part, not the star list."""
-    stars = []
-    matching = 0
+def _shape_and_cycle(F: Graph):
+    """(star-forest shape or None, whether F has a cycle), from one
+    `components` pass."""
+    stars, matching, other = [], 0, set()
     for info in components(F):
         if info.kind == "K2":
             matching += 1
         elif info.kind == "star":
             stars.append(info.star_size)
         else:
-            return None
-    return StarForestShape(tuple(sorted(stars, reverse=True)), matching)
+            other.add(info.kind)
+    shape = None if other else StarForestShape(tuple(sorted(stars, reverse=True)), matching)
+    return shape, "cyclic" in other
+
+
+def shape_of(F: Graph) -> Optional[StarForestShape]:
+    """Star-forest shape of F, or None if some component is not a star.
+    Single edges count toward the matching part, not the star list."""
+    return _shape_and_cycle(F)[0]
 
 
 def _is_matching(shape: Optional[StarForestShape]) -> bool:
     return shape is not None and shape.s == 0
 
 
+def _verdict(verdict: str, rule: str, reason: str, condition: Optional[str] = None) -> Classification:
+    return Classification(verdict, (TrailEntry(rule, CITATIONS[rule], reason),), condition)
+
+
 def classify(G: Graph, H: Graph) -> Classification:
-    """Apply the decision rules R1..R8 in order; the trail records every
+    """Apply the decision rules R1..R8 in order; the trail records the
     decisive rule with its citation."""
     check_targets(G, H)
-    trail: List[TrailEntry] = []
-
-    shape_g = shape_of(G)
-    shape_h = shape_of(H)
+    shape_g, g_cyclic = _shape_and_cycle(G)
+    shape_h, h_cyclic = _shape_and_cycle(H)
 
     # R1: one side is a matching
     if _is_matching(shape_g) or _is_matching(shape_h):
         side = "first" if _is_matching(shape_g) else "second"
-        trail.append(TrailEntry("R1", CITATIONS["R1"], f"{side} target is a matching"))
-        return Classification(FINITE, tuple(trail))
-
-    g_cyclic = G.has_cycle()
-    h_cyclic = H.has_cycle()
+        return _verdict(FINITE, "R1", f"{side} target is a matching")
 
     # R2: both contain a cycle
     if g_cyclic and h_cyclic:
-        trail.append(TrailEntry("R2", CITATIONS["R2"], "both targets contain a cycle"))
-        return Classification(INFINITE, tuple(trail))
+        return _verdict(INFINITE, "R2", "both targets contain a cycle")
 
     # R3: exactly one contains a cycle; the other is a non-matching forest
     if g_cyclic or h_cyclic:
-        trail.append(
-            TrailEntry("R3", CITATIONS["R3"], "one target is cyclic, the other a forest that is not a matching")
-        )
-        return Classification(INFINITE, tuple(trail))
+        return _verdict(INFINITE, "R3", "one target is cyclic, the other a forest that is not a matching")
 
     # R4: both forests, some component is not a star
     if shape_g is None or shape_h is None:
-        trail.append(TrailEntry("R4", CITATIONS["R4"], "a component is a tree that is not a star"))
-        return Classification(INFINITE, tuple(trail))
+        return _verdict(INFINITE, "R4", "a component is a tree that is not a star")
 
     # Remaining: both star forests with at least one star each.
     # R5: single odd star on each side (any number of matching edges)
     if shape_g.s == 1 and shape_h.s == 1 and shape_g.stars[0] % 2 and shape_h.stars[0] % 2:
-        trail.append(
-            TrailEntry("R5", CITATIONS["R5"], f"single odd stars S({shape_g.stars[0]}) and S({shape_h.stars[0]})")
-        )
-        return Classification(FINITE, tuple(trail))
+        return _verdict(FINITE, "R5", f"single odd stars S({shape_g.stars[0]}) and S({shape_h.stars[0]})")
 
     # Structural match of the two-or-more-stars-vs-one-star finite case.
     # With no matching edges anywhere the pair is a star forest without
@@ -151,29 +147,24 @@ def classify(G: Graph, H: Graph) -> Classification:
         ):
             bound = (a.stars[0] + 2 * b.stars[0] + a.stars[1] - 2) ** 2 + 1
             if a.s == 2 and a.matching_count == 0 and b.matching_count >= bound:
-                trail.append(
-                    TrailEntry(
-                        "R7",
-                        CITATIONS["R7"],
-                        f"orientation {orient}: stars {a.stars} vs S({b.stars[0]}) with "
-                        f"{b.matching_count} matching edges >= explicit bound {bound}",
-                    )
+                return _verdict(
+                    FINITE,
+                    "R7",
+                    f"orientation {orient}: stars {a.stars} vs S({b.stars[0]}) with "
+                    f"{b.matching_count} matching edges >= explicit bound {bound}",
                 )
-                return Classification(FINITE, tuple(trail))
-            cond = (
+            return _verdict(
+                UNKNOWN,
+                "R8",
+                f"orientation {orient}: shape matches the multi-star finite case",
                 f"orientation {orient}: needs matching count >= n0(F1,F2); "
                 f"{b.matching_count} matching edges not certified by the explicit bound "
                 f"(which requires exactly two stars, no matching on the multi-star side, "
-                f"and at least {bound} matching edges)"
+                f"and at least {bound} matching edges)",
             )
-            trail.append(
-                TrailEntry("R8", CITATIONS["R8"], f"orientation {orient}: shape matches the multi-star finite case")
-            )
-            return Classification(UNKNOWN, tuple(trail), condition=cond)
 
     # R6: no finite shape matches
-    trail.append(TrailEntry("R6", CITATIONS["R6"], "star-forest shapes match no Ramsey-finite case"))
-    return Classification(INFINITE, tuple(trail))
+    return _verdict(INFINITE, "R6", "star-forest shapes match no Ramsey-finite case")
 
 
 class ConsistencyError(RuntimeError):

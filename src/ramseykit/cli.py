@@ -73,6 +73,11 @@ def parse_graph_argument(text: str) -> Graph:
 _VERDICT_WORDS = {True: "arrows", False: "does-not-arrow", None: "unknown"}
 
 
+def _labels(F: Graph) -> list:
+    """F's label of each vertex of F.without_isolated(), where witnesses live."""
+    return [u for u in range(F.n) if F.adj[u]]
+
+
 def _witness_doc(coloring, labels):
     if coloring is None:
         return None
@@ -82,42 +87,26 @@ def _witness_doc(coloring, labels):
     ]
 
 
-def _emit(doc: dict, args) -> None:
-    if args.format == "text":
-        for key, value in doc.items():
-            print(f"{key}: {value}")
-    else:
-        # one line: indent= would force the stdlib's pure-Python encoder
-        print(json.dumps(doc))
+# Each handler gets the parsed arguments and then its graph arguments,
+# parsed in order, and returns its document without `command` and, unless
+# it has some, `citations`; `threshold` writes CSV and returns None.
 
 
-def _cmd_arrow(args) -> int:
-    F = parse_graph_argument(args.F)
-    G = parse_graph_argument(args.G)
-    H = parse_graph_argument(args.H)
+def _cmd_arrow(args, F, G, H) -> dict:
     v = arrows(F, G, H, budget=args.budget)
-    labels = [u for u in range(F.n) if F.adj[u]]  # F's label of each vertex of F.without_isolated()
-    doc = {
-        "command": "arrow",
+    return {
         "arrows": v.arrows,
         "verdict": _VERDICT_WORDS[v.arrows],
-        "witness": _witness_doc(v.witness, labels),
+        "witness": _witness_doc(v.witness, _labels(F)),
         "nodes": v.nodes,
         "elapsed": round(v.elapsed, 6),
-        "citations": [],
     }
-    _emit(doc, args)
-    return 0
 
 
-def _cmd_minimal(args) -> int:
-    F = parse_graph_argument(args.F)
-    G = parse_graph_argument(args.G)
-    H = parse_graph_argument(args.H)
+def _cmd_minimal(args, F, G, H) -> dict:
     rep = is_ramsey_minimal(F, G, H, budget=args.budget)
-    labels = [u for u in range(F.n) if F.adj[u]]  # F's label of each vertex of F.without_isolated()
-    doc = {
-        "command": "minimal",
+    labels = _labels(F)
+    return {
         "is_ramsey": rep.is_ramsey,
         "is_minimal": rep.is_minimal,
         "per_edge": [
@@ -125,53 +114,33 @@ def _cmd_minimal(args) -> int:
              "good_coloring": _witness_doc(v.witness, labels)}
             for (u, w), v in sorted(rep.edge_verdicts.items())
         ],
-        "citations": [],
     }
-    _emit(doc, args)
-    return 0
 
 
-def _cmd_density(args) -> int:
-    X = parse_graph_argument(args.X)
+def _cmd_density(args, X) -> dict:
     pair = parse_graph_argument(args.pair) if args.pair else None
     report = density_report(X, pair_with=pair)
     doc = {
-        "command": "density",
         "rho": str(report.rho.value),
         "rho_witness": list(report.rho.witness),
         "m2": str(report.m2.value) if report.m2 else None,
         "m2_witness": list(report.m2.witness) if report.m2 else None,
-        "citations": [],
     }
     if report.m2_pair is not None:
         doc["m2_pair"] = str(report.m2_pair.value)
         doc["m2_pair_witness"] = list(report.m2_pair.witness)
         doc["m2_pair_swapped"] = report.m2_pair.swapped
-    _emit(doc, args)
-    return 0
+    return doc
 
 
-def _cmd_classify(args) -> int:
-    G = parse_graph_argument(args.G)
-    H = parse_graph_argument(args.H)
+def _cmd_classify(args, G, H) -> dict:
     result = classify(G, H)
-    doc = {"command": "classify"}
-    doc.update(result.to_document())
-    doc["citations"] = [t.citation for t in result.trail]
-    _emit(doc, args)
-    return 0
+    return {**result.to_document(), "citations": [t.citation for t in result.trail]}
 
 
-def _cmd_enumerate(args) -> int:
-    G = parse_graph_argument(args.G)
-    H = parse_graph_argument(args.H)
+def _cmd_enumerate(args, G, H) -> dict:
     bounds = SearchBounds(args.max_v, args.max_e, node_budget=args.budget)
-    catalog = enumerate_ramsey_minimal(G, H, bounds)
-    doc = {"command": "enumerate"}
-    doc.update(catalog.to_document())
-    doc["citations"] = []
-    _emit(doc, args)
-    return 0
+    return enumerate_ramsey_minimal(G, H, bounds).to_document()
 
 
 def _c_value(text: str) -> Fraction:
@@ -181,9 +150,7 @@ def _c_value(text: str) -> Fraction:
         raise ValueError(f"c value {text!r} has a zero denominator") from None
 
 
-def _cmd_threshold(args) -> int:
-    G = parse_graph_argument(args.G)
-    H = parse_graph_argument(args.H)
+def _cmd_threshold(args, G, H) -> None:
     config = ExperimentConfig(
         G=G,
         H=H,
@@ -204,7 +171,26 @@ def _cmd_threshold(args) -> int:
     finally:
         if out is not sys.stdout:
             out.close()
-    return 0
+
+
+_REQUIRED_INT = {"type": int, "required": True}
+
+# name, help, graph arguments, extra options, --budget, --format, handler
+_COMMANDS = (
+    ("arrow", "decide F -> (G,H)", ("F", "G", "H"), {}, True, True, _cmd_arrow),
+    ("minimal", "check Ramsey-minimality of F for (G,H)", ("F", "G", "H"), {}, True, True, _cmd_minimal),
+    ("density", "density parameters of X", ("X",),
+     {"--pair": {"default": None, "help": "second graph for the pair parameter"}}, False, True, _cmd_density),
+    ("classify", "Ramsey-finite / Ramsey-infinite verdict", ("G", "H"), {}, False, True, _cmd_classify),
+    ("enumerate", "Ramsey-minimal catalog within bounds", ("G", "H"),
+     {"--max-v": _REQUIRED_INT, "--max-e": _REQUIRED_INT}, True, True, _cmd_enumerate),
+    ("threshold", "Monte Carlo threshold experiment, CSV output", ("G", "H"),
+     {"--n": {"required": True, "help": "comma-separated n values"},
+      "--c": {"required": True, "help": "comma-separated c values"},
+      "--samples": {"type": int, "default": 200},
+      "--seed": {"type": int, "default": 0},
+      "--output": {"default": None}}, True, False, _cmd_threshold),
+)
 
 
 @functools.cache
@@ -214,62 +200,18 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="ramseykit", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def budget(p):
-        p.add_argument("--budget", type=_positive_int, default=DEFAULT_NODE_BUDGET,
-                       help="node budget per arrowing search (at least 1)")
-
-    def output_format(p):
-        p.add_argument("--format", choices=["json", "text"], default="json")
-
-    p = sub.add_parser("arrow", help="decide F -> (G,H)")
-    p.add_argument("F")
-    p.add_argument("G")
-    p.add_argument("H")
-    budget(p)
-    output_format(p)
-    p.set_defaults(func=_cmd_arrow)
-
-    p = sub.add_parser("minimal", help="check Ramsey-minimality of F for (G,H)")
-    p.add_argument("F")
-    p.add_argument("G")
-    p.add_argument("H")
-    budget(p)
-    output_format(p)
-    p.set_defaults(func=_cmd_minimal)
-
-    p = sub.add_parser("density", help="density parameters of X")
-    p.add_argument("X")
-    p.add_argument("--pair", default=None, help="second graph for the pair parameter")
-    output_format(p)
-    p.set_defaults(func=_cmd_density)
-
-    p = sub.add_parser("classify", help="Ramsey-finite / Ramsey-infinite verdict")
-    p.add_argument("G")
-    p.add_argument("H")
-    output_format(p)
-    p.set_defaults(func=_cmd_classify)
-
-    p = sub.add_parser("enumerate", help="Ramsey-minimal catalog within bounds")
-    p.add_argument("G")
-    p.add_argument("H")
-    p.add_argument("--max-v", type=int, required=True)
-    p.add_argument("--max-e", type=int, required=True)
-    budget(p)
-    output_format(p)
-    p.set_defaults(func=_cmd_enumerate)
-
-    p = sub.add_parser("threshold", help="Monte Carlo threshold experiment, CSV output")
-    p.add_argument("G")
-    p.add_argument("H")
-    p.add_argument("--n", required=True, help="comma-separated n values")
-    p.add_argument("--c", required=True, help="comma-separated c values")
-    p.add_argument("--samples", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--output", default=None)
-    budget(p)
-    p.set_defaults(func=_cmd_threshold)
-
+    for name, summary, graphs, options, budget, output_format, handler in _COMMANDS:
+        p = sub.add_parser(name, help=summary)
+        for graph in graphs:
+            p.add_argument(graph)
+        for flag, kwargs in options.items():
+            p.add_argument(flag, **kwargs)
+        if budget:
+            p.add_argument("--budget", type=_positive_int, default=DEFAULT_NODE_BUDGET,
+                           help="node budget per arrowing search (at least 1)")
+        if output_format:
+            p.add_argument("--format", choices=["json", "text"], default="json")
+        p.set_defaults(func=handler, graphs=graphs)
     return parser
 
 
@@ -280,7 +222,18 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if exc.code is not None else 0
     try:
-        return args.func(args)
+        payload = args.func(args, *(parse_graph_argument(getattr(args, g)) for g in args.graphs))
+        if payload is None:
+            return 0
+        citations = payload.pop("citations", [])
+        doc = {"command": args.command, **payload, "citations": citations}
+        if args.format == "text":
+            for key, value in doc.items():
+                print(f"{key}: {value}")
+        else:
+            # one line: indent= would force the stdlib's pure-Python encoder
+            print(json.dumps(doc))
+        return 0
     except ValueError as exc:
         sys.stderr.write(f"ramseykit: error: {exc}\n")
         return 1

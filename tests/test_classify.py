@@ -1,3 +1,4 @@
+import hashlib
 from itertools import combinations_with_replacement, product
 
 import pytest
@@ -10,7 +11,8 @@ from ramseykit import (
     matching_extension_check,
     shape_of,
 )
-from ramseykit.classify import FINITE, INFINITE, UNKNOWN
+from ramseykit.classify import FINITE, INFINITE, UNKNOWN, StarForestShape, _shape_and_cycle
+from ramseykit.enumeration import SearchBounds, enumerate_graphs
 
 b = build_from_text
 
@@ -156,3 +158,54 @@ def test_document_serialization():
     assert doc["verdict"] == FINITE
     assert doc["rule"] == "R7"
     assert doc["trail"]
+
+
+def _reference_shape(F):
+    """Star-forest shape of F built component by component from its edge
+    list: a one-edge component is a K2, a tree whose centre meets every
+    edge is a star, anything else has no shape."""
+    stars, matching = [], 0
+    for vs in F.connected_components():
+        edges = [e for e in F.edges() if e[0] in vs]
+        if len(edges) == 1:
+            matching += 1
+        elif len(edges) == len(vs) - 1 and any(all(v in e for e in edges) for v in vs):
+            stars.append(len(edges))
+        else:
+            return None
+    return StarForestShape(tuple(sorted(stars, reverse=True)), matching)
+
+
+def _census():
+    yield from enumerate_graphs(SearchBounds(7, 8))
+    for i, j, k in product(range(1, 6), range(1, 6), range(4)):
+        yield b(f"S{i}+S{j}" + (f"+{k}K2" if k else ""))
+
+
+def test_one_component_pass_gives_shape_and_cycle_flag():
+    count = 0
+    for F in _census():
+        shape, cyclic = _shape_and_cycle(F)
+        assert shape == shape_of(F) == _reference_shape(F), F.edges()
+        assert cyclic == F.has_cycle(), F.edges()
+        count += 1
+    assert count == 242 + 100
+
+
+# Every rule R1..R8 decides at least one ordered pair of these targets.
+CENSUS_TARGETS = [
+    "K2", "2K2", "3K2", "S2", "S3", "S4", "S5", "S2+K2", "S3+K2", "S3+2K2", "S5+K2",
+    "S5+S2", "S5+S3", "S3+S3+K2", "S5+S2+K2", "S3+121K2", "S3+122K2", "P4", "P4+K2", "K3", "C4+K2",
+]
+
+
+def test_classification_census_is_pinned():
+    # any change to a verdict, rule, reason or condition changes the digest
+    targets = [b(t) for t in CENSUS_TARGETS]
+    rows = []
+    for G, H in product(targets, repeat=2):
+        r = classify(G, H)
+        rows.append((r.verdict, r.trail[-1].rule, r.trail[-1].reason, r.condition))
+    assert {rule for _, rule, _, _ in rows} == {f"R{i}" for i in range(1, 9)}
+    digest = hashlib.sha256(repr(rows).encode()).hexdigest()
+    assert digest == "5eb7705fb553138e083201fcbb7aa34c9e0a7b4ab73aab4fbb71f04d8ead631a"

@@ -1,5 +1,7 @@
+import hashlib
 import json
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -7,7 +9,7 @@ import sys
 import pytest
 
 from ramseykit import EdgeColoring, Graph, build_from_text, certificate, emit_graph6, parse_graph6
-from ramseykit import randomgraphs
+from ramseykit import cli, randomgraphs
 from ramseykit.cli import build_parser, main, parse_graph_argument
 
 
@@ -123,6 +125,53 @@ def test_matching_catalog_documents_are_pinned(capsys, question, want):
     # general DFS gave it: the lister-based pre-filter must agree
     G, H, max_v, max_e = question
     assert run_json(capsys, "enumerate", G, H, "--max-v", str(max_v), "--max-e", str(max_e)) == want
+
+
+# sha256 (first 16 hex digits) of each command's stdout with `elapsed`
+# masked, in JSON and in --format text. `density --pair` lists its m2_pair
+# keys before `citations`, which ends every document.
+GOLDEN = [
+    ("arrow K6 K3 K3", "3822a483681b3189", "cb521a061400e274"),
+    ("arrow K5 K3 K3", "a464bafe29d78426", "9cd05d4b3754024d"),
+    ("arrow K6 K3 K3 --budget 3", "baaccb495f1385cc", "1c971d0eb6a27289"),
+    ("arrow K6+K1 K3 K3", "3822a483681b3189", "cb521a061400e274"),
+    ("minimal K6 K3 K3", "ed3834297e6294f1", "0373188abc138cdd"),
+    ("minimal K7 K3 K3", "985c64cd6cbfa4f0", "69f0d8564f1e9d97"),
+    ("minimal C5 2K2 2K2", "57256c4ac9dc6a3e", "4b6270ceeff5a09f"),
+    ("density K4", "361fe4c4dcc2d854", "ea626337b54a820f"),
+    ("density K3 --pair K3", "45c293ea92d8b5b5", "38473d4af1d94f58"),
+    ("classify S5+S2 S3+122K2", "2f0aee8b5b4c702e", "b6b4bacc94cb96e2"),
+    ("classify P4 P4", "422860aedd0c9ea3", "2d98ff0338337a2a"),
+    ("classify S5+S2+K2 S3+122K2", "380efaf5258132ef", "d123824b82cabbb1"),
+    ("enumerate K2 K2 --max-v 4 --max-e 4", "9556cefc79326bd5", "8f27ff0bf18e0cff"),
+]
+
+
+@pytest.mark.parametrize("command,json_sha,text_sha", GOLDEN)
+def test_documents_are_pinned(capsys, command, json_sha, text_sha):
+    for fmt, want in (("json", json_sha), ("text", text_sha)):
+        code, out, err = run_cli(capsys, *command.split(), "--format", fmt)
+        assert code == 0, err
+        out = re.sub(r'(elapsed"?: )[-+.e0-9]+', r"\1*", out)
+        assert hashlib.sha256(out.encode()).hexdigest()[:16] == want, out
+
+
+def test_documents_start_with_command_and_end_with_citations(capsys):
+    for command, _, _ in GOLDEN:
+        argv = command.split()
+        keys = list(run_json(capsys, *argv))
+        assert (keys[0], keys[-1]) == ("command", "citations"), command
+        assert run_json(capsys, *argv)["command"] == argv[0]
+
+
+def test_failure_while_printing_is_an_internal_error(capsys, monkeypatch):
+    def fail(doc):
+        raise RuntimeError("cannot encode")
+
+    monkeypatch.setattr(cli, "json", type("Stub", (), {"dumps": staticmethod(fail)}))
+    code, out, err = run_cli(capsys, "density", "K4")
+    assert (code, out) == (2, "")
+    assert "cannot encode" in err
 
 
 def test_json_output_is_one_line(capsys):
