@@ -58,18 +58,31 @@ def test_counts_match_burnside():
     # classes with no isolated vertices, <= V vertices and <= E edges equal
     # the Burnside count of graphs on V labeled vertices with 1..E edges
     # (pad with isolated vertices for the bijection)
-    for V, E in ((4, 6), (5, 10), (6, 15), (8, 10)):
+    for V, E in ((4, 6), (5, 10), (6, 15), (7, 21), (8, 10)):
         counts = burnside_counts_by_edges(V)
         expected = sum(counts[1:E + 1])
         got = sum(1 for _ in enumerate_graphs(SearchBounds(V, E)))
         assert got == expected
 
 
-def test_classes_order_and_labeling_are_pinned():
-    # the class set, the yield order and every canonical labeling at once
-    text = "\n".join(
-        f"{emit_graph6(g)} {certificate(g).decode()}" for g in enumerate_graphs(SearchBounds(8, 10))
-    )
+def test_no_certificate_is_emitted_twice():
+    # 2178 classes recorded while each level kept a table of certificates
+    certs = [certificate(g) for g in enumerate_graphs(SearchBounds(12, 9))]
+    assert len(certs) == len(set(certs)) == 2178
+
+
+def _class_lines(bounds):
+    return [f"{emit_graph6(g)} {certificate(g).decode()}" for g in enumerate_graphs(bounds)]
+
+
+def test_classes_and_labelings_are_pinned():
+    # the class set and every canonical labeling, whatever the yield order
+    text = "\n".join(sorted(_class_lines(SearchBounds(8, 10))))
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == "dd05a01f889e23e8"
+
+
+def test_classes_yield_order_is_pinned():
+    text = "\n".join(_class_lines(SearchBounds(8, 10)))
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == "50fbe20b225d92de"
 
 
@@ -326,29 +339,48 @@ def test_no_candidate_contains_an_earlier_member(monkeypatch, pair, bounds):
     assert [certificate(M) for M in members] == [certificate(M) for M in cat.member_graphs()]
 
 
-def _document(pair, max_v, max_e, members):
+def _document(pair, bounds, members, completeness="complete within bounds"):
+    max_v, max_e, budget = bounds
     return {
         "pair": pair,
-        "bounds": {"max_vertices": max_v, "max_edges": max_e, "node_budget": 100000000},
+        "bounds": {"max_vertices": max_v, "max_edges": max_e, "node_budget": budget},
         "members": [
             {"graph6": g6, "vertices": n, "edges": m, "edge_witnesses": m} for g6, n, m in members
         ],
-        "completeness": "complete within bounds",
+        "completeness": completeness,
     }
+
+
+FULL = 100000000  # the default node budget
 
 
 @pytest.mark.parametrize(
     "question,want",
     [
         (
-            ("P3", "2K2", 9, 10),
-            _document(["Bg", "C`"], 9, 10, [("C]", 4, 4), ("EW?W", 6, 4), ("DLo", 5, 5)]),
+            ("2K2", "2K2", 10, 12, FULL),
+            _document(["C`", "C`"], (10, 12, FULL), [("E`?G", 6, 3), ("DLo", 5, 5)]),
         ),
-        (("2K2", "K3", 7, 9), _document(["C`", "Bw"], 7, 9, [("EwCW", 6, 6)])),
+        (
+            ("P3", "2K2", 9, 10, FULL),
+            _document(["Bg", "C`"], (9, 10, FULL), [("C]", 4, 4), ("EW?W", 6, 4), ("DLo", 5, 5)]),
+        ),
+        (
+            ("K3", "2K2", 8, 10, FULL),
+            _document(["Bw", "C`"], (8, 10, FULL), [("EwCW", 6, 6), ("D~{", 5, 10)]),
+        ),
+        (("2K2", "K3", 7, 9, FULL), _document(["C`", "Bw"], (7, 9, FULL), [("EwCW", 6, 6)])),
+        (("K3", "K3", 6, 15, FULL), _document(["Bw", "Bw"], (6, 15, FULL), [("E~~w", 6, 15)])),
+        (
+            ("2K2", "2K2", 8, 10, 5),
+            _document(["C`", "C`"], (8, 10, 5), [("E`?G", 6, 3)], "budget-limited"),
+        ),
+        (("K3", "2K2", 8, 10, 3), _document(["Bw", "C`"], (8, 10, 3), [], "budget-limited")),
     ],
 )
 def test_catalog_documents_are_pinned(question, want):
-    # recorded while every candidate was still canonicalized and checked
-    # for members after it was yielded
-    G, H, max_v, max_e = question
-    assert enumerate_ramsey_minimal(b(G), b(H), SearchBounds(max_v, max_e)).to_document() == want
+    # recorded while every extension that passed the member test was
+    # canonicalized and looked up in a table of the level's classes
+    G, H, max_v, max_e, budget = question
+    bounds = SearchBounds(max_v, max_e, node_budget=budget)
+    assert enumerate_ramsey_minimal(b(G), b(H), bounds).to_document() == want
