@@ -1,26 +1,42 @@
 """Isomorph-free graph generation and Ramsey-minimal catalogs.
 
-Generation keeps one table of canonical representatives per edge count,
-each with generators of its automorphism group. Every graph of one level is
-grown by one edge in each possible way up to its automorphisms (one new
-edge between existing vertices per Aut-orbit of non-edges, one pendant edge
-to a fresh vertex per Aut-orbit of vertices, and a fresh disjoint edge),
-and each extension is canonicalized once; a representative not yet in the
-next level's table is new. Every class with no isolated vertices is
-reached, because deleting any one of its edges and dropping the isolated
-vertices leaves a class of the level below, from which re-adding that edge
-is one of the three extensions, or an automorphic image of one. The orbit
-keeps its first member in the order all extensions would be tried in, and
-the others are isomorphic to it, so a later one could only have found its
-class in the table already: the order in which classes are emitted is the
-same as when every extension is canonicalized.
+Generation is by canonical augmentation (McKay, Isomorph-free exhaustive
+generation, J. Algorithms 26, 1998). Every class X with no isolated
+vertices other than K2 has a canonical deletion: among the edges with the
+least key (deg u + deg v, min degree, common neighbours), the one whose
+image under X's canonical labeling is least, together with its orbit under
+Aut(X). Its parent is X less that edge, isolated vertices dropped. The key
+is an isomorphism invariant and the canonical labeling maps isomorphic
+graphs to one graph, so an isomorphism X -> Y maps the canonical deletion
+of X onto that of Y.
+
+Every graph g of a level, with generators of Aut(g), is grown by one edge
+in each possible way up to its automorphisms: one new edge between
+existing vertices per Aut-orbit of non-edges, one pendant edge to a fresh
+vertex per Aut-orbit of vertices, and a fresh disjoint edge. The extension
+g + e is kept iff e is in the canonical deletion of g + e. An e whose key
+is not the least is rejected at once; the others are canonicalized once,
+which gives the emitted representative and its automorphisms as well.
+
+Completeness: by induction on the edge count, the parent p of X is
+emitted as the representative of its class, and some isomorphism carries
+p plus X's canonical deletion edge onto one extension p + e of the
+representative, up to Aut(p); that e is in the canonical deletion of
+p + e, so p + e is kept and X's class emitted. Uniqueness: if p + e and
+p' + e' are kept and isomorphic, an isomorphism between them can be chosen
+to map e to e' (both are in the canonical deletions, which it maps onto
+each other, and an automorphism moves within the orbit). It then maps p
+onto p', so p = p' (one representative per class), and it restricts to an
+automorphism of p taking e to e'. Extensions are one per Aut(p)-orbit, so
+e = e'. No table of the classes already seen is kept.
 
 A catalog does not grow a candidate that arrows, since every proper
 supergraph F' of an arrowing F is not minimal (F' - e still arrows for an
-edge e outside F). Graphs with no arrowing proper subgraph are closed under
-taking subgraphs, so each one-edge deletion of a minimal graph is grown and
-reaches it, and no member is lost. An extension that contains a member is
-dropped before it is canonicalized. Every grown graph g is member-free, so
+edge e outside F). Graphs with no arrowing subgraph are closed under
+taking subgraphs, so they are all emitted and grown; the parent of a
+minimal graph is one of them and reaches it, and no member is lost. An
+extension that contains a member is dropped before it is canonicalized
+(and after the key gate). Every grown graph g is member-free, so
 an extension g + e contains a member M only if g contains a one-edge
 deletion M - e' (the copy of M in g + e uses e); only the members that pass
 this test for g, asked once per edge orbit of Aut(M), are looked for in
@@ -35,7 +51,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Optional, Tuple, Union
 
 from .arrowing import DEFAULT_NODE_BUDGET, MinimalityReport, check_budget, has_copy, is_ramsey_minimal
-from .canon import canonical_form
+from .canon import CanonicalForm, canonical_form
 from .density import m2_pair, rho
 from .graph6 import emit_graph6
 from .graphs import DEFAULT_VERTEX_CAP, Graph, check_targets
@@ -55,26 +71,31 @@ class SearchBounds:
         check_budget(self.node_budget)
 
 
+def _close(item, image, gens, seen: set) -> None:
+    """Add the orbit of item under the group gens generate to seen;
+    image(a, item) applies generator a to an item."""
+    seen.add(item)
+    stack = [item]
+    while stack:
+        x = stack.pop()
+        for a in gens:
+            y = image(a, x)
+            if y not in seen:
+                seen.add(y)
+                stack.append(y)
+
+
 def _orbit_firsts(items, image, gens) -> Iterator:
     """The first of each orbit of items under the group gens generate, in
-    the order given; image(a, item) applies generator a to an item."""
+    the order given."""
     if not gens:
         yield from items
         return
     seen = set()
     for item in items:
-        if item in seen:
-            continue
-        yield item
-        seen.add(item)
-        stack = [item]
-        while stack:
-            x = stack.pop()
-            for a in gens:
-                y = image(a, x)
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
+        if item not in seen:
+            yield item
+            _close(item, image, gens, seen)
 
 
 def _pair_image(a, pair):
@@ -82,9 +103,12 @@ def _pair_image(a, pair):
     return (u, v) if u < v else (v, u)
 
 
-def _extensions(rep: Graph, gens: tuple, bounds: SearchBounds) -> Iterator[Graph]:
+def _extensions(
+    rep: Graph, gens: tuple, bounds: SearchBounds
+) -> Iterator[Tuple[Graph, Tuple[int, int]]]:
     """Every graph within the bounds grown from rep by one edge, one per
-    orbit of Aut(rep) (generated by gens) on the added edges."""
+    orbit of Aut(rep) (generated by gens) on the added edges, each with the
+    edge (u, v), u < v, that was added."""
     n = rep.n
     if rep.edge_count + 1 > bounds.max_edges:
         return
@@ -92,15 +116,58 @@ def _extensions(rep: Graph, gens: tuple, bounds: SearchBounds) -> Iterator[Graph
     adj = rep.adj
     non_edges = [(u, v) for u in range(n) for v in range(u + 1, n) if not adj[u] >> v & 1]
     for u, v in _orbit_firsts(non_edges, _pair_image, gens):
-        yield rep.add_edge(u, v)
+        yield rep.add_edge(u, v), (u, v)
     # pendant edge to one fresh vertex
     if n + 1 <= bounds.max_vertices:
         grown = Graph._trusted(n + 1, adj + (0,))
         for u in _orbit_firsts(range(n), tuple.__getitem__, gens):
-            yield grown.add_edge(u, n)
+            yield grown.add_edge(u, n), (u, n)
     # fresh disjoint edge
     if n + 2 <= bounds.max_vertices:
-        yield Graph._trusted(n + 2, adj + (0, 0)).add_edge(n, n + 1)
+        yield Graph._trusted(n + 2, adj + (0, 0)).add_edge(n, n + 1), (n, n + 1)
+
+
+def _ties(g: Graph, edge: Tuple[int, int]) -> Optional[List[Tuple[int, int]]]:
+    """The edges of g whose key equals edge's, or None if some edge has a
+    smaller key. An edge uv's key is (deg u + deg v, min degree, common
+    neighbours), an isomorphism invariant; the common neighbours are counted
+    only on edges whose degree sum ties."""
+    adj = g.adj
+    deg = [row.bit_count() for row in adj]
+    a, b = edge
+    least = deg[a] + deg[b]
+    rest = (min(deg[a], deg[b]), (adj[a] & adj[b]).bit_count())
+    ties = []
+    for u in range(g.n):
+        du = deg[u]
+        if du >= least:  # every edge at u has a larger sum
+            continue
+        row = adj[u] >> (u + 1) << (u + 1)
+        while row:
+            low = row & -row
+            row ^= low
+            v = low.bit_length() - 1
+            total = du + deg[v]
+            if total > least:
+                continue
+            if total < least:
+                return None
+            key = (min(du, deg[v]), (adj[u] & adj[v]).bit_count())
+            if key < rest:
+                return None
+            if key == rest:
+                ties.append((u, v))
+    return ties
+
+
+def _is_canonical_deletion(edge: Tuple[int, int], ties: list, form: CanonicalForm) -> bool:
+    """Whether edge lies in the orbit, under the automorphisms of form, of
+    the tie whose image under the canonical labeling is least."""
+    perm = form.permutation
+    least = min(_pair_image(perm, e) for e in ties)
+    orbit = set()
+    _close(least, _pair_image, form.automorphisms, orbit)
+    return _pair_image(perm, edge) in orbit
 
 
 # What `grow` returns for a graph: falsy, True, or a test for its extensions.
@@ -114,16 +181,20 @@ def enumerate_graphs(
     max_vertices vertices and max_edges edges, each exactly once, in
     nondecreasing edge count. Canonical representatives are emitted.
 
+    A class other than K2 is emitted only from its parent, the class less
+    its canonical deletion with isolated vertices dropped (see the module
+    docstring), as the extension that adds that edge back.
+
     With `grow`, grow(g) is asked about each representative g before it is
     extended, after g has been yielded and the generator resumed. A falsy
-    value leaves g unextended; True canonicalizes every extension of g; a
-    callable is a test each extension must pass before it is
-    canonicalized, and an extension that fails it is neither canonicalized
-    nor emitted from g. A class is then emitted if it is K2 or one of its
-    one-edge deletions (isolated vertices dropped) is emitted, extended and
-    its test passed by that extension; when the accepted graphs are closed
-    under taking subgraphs, every one of them is emitted, in the same
-    relative order as without `grow`."""
+    value leaves g unextended; True extends g; a callable is a test each
+    extension must pass before it is canonicalized, and an extension that
+    fails it is not emitted. The test is asked only of the extensions whose
+    added edge has the least key. A class is then emitted iff it is K2, or
+    its parent was emitted and grown and the class passed the parent's
+    test. When the accepted graphs are closed under taking subgraphs, every
+    one of them is emitted, in the same relative order as without
+    `grow`."""
     if bounds.max_vertices < 2 or bounds.max_edges < 1:
         return
     k2 = Graph.from_edges(2, [(0, 1)])
@@ -131,23 +202,24 @@ def enumerate_graphs(
     level = [(k2.relabel(form.permutation), form.automorphisms)]
     yield level[0][0]
     for _ in range(1, bounds.max_edges):
-        nxt: Dict[bytes, Tuple[Graph, tuple]] = {}  # insertion-ordered, by certificate
+        nxt: List[Tuple[Graph, tuple]] = []
         for g, gens in level:
             growth = True if grow is None else grow(g)
             if not growth:
                 continue
             passes = growth if callable(growth) else None
-            for child in _extensions(g, gens, bounds):
-                if passes is not None and not passes(child):
+            for child, edge in _extensions(g, gens, bounds):
+                ties = _ties(child, edge)
+                if ties is None or (passes is not None and not passes(child)):
                     continue
                 form = canonical_form(child)
-                if form.certificate not in nxt:
+                if len(ties) == 1 or _is_canonical_deletion(edge, ties, form):
                     rep = child.relabel(form.permutation)
-                    nxt[form.certificate] = (rep, form.automorphisms)
+                    nxt.append((rep, form.automorphisms))
                     yield rep
         if not nxt:
             return
-        level = nxt.values()
+        level = nxt
 
 
 @dataclass
@@ -211,8 +283,9 @@ def enumerate_ramsey_minimal(G: Graph, H: Graph, bounds: SearchBounds) -> Minima
 
     A candidate proven to arrow is not grown: a proper supergraph F' of an
     arrowing F is not minimal, since F' - e still arrows for any edge e
-    outside F. Every one-edge deletion of a minimal graph has no arrowing
-    subgraph, so it is grown and no member is lost.
+    outside F. The parent of a minimal graph (its canonical deletion,
+    isolated vertices dropped) has no arrowing subgraph, so it is grown
+    and no member is lost.
 
     No candidate contains an earlier member: such a graph arrows but is
     not minimal, and it is dropped before it is canonicalized. When a

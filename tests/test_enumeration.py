@@ -12,6 +12,7 @@ from ramseykit import (
     MinimalityReport,
     SearchBounds,
     build_from_text,
+    canonical_representative,
     catalog_density_audit,
     certificate,
     contains_copy,
@@ -83,7 +84,7 @@ def test_classes_and_labelings_are_pinned():
 
 def test_classes_yield_order_is_pinned():
     text = "\n".join(_class_lines(SearchBounds(8, 10)))
-    assert hashlib.sha256(text.encode()).hexdigest()[:16] == "50fbe20b225d92de"
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == "68dd51b235b425ec"
 
 
 def test_edge_bound_respected_and_no_duplicates():
@@ -188,6 +189,25 @@ def _has_triangle(g):
     return any(g.adj[u] & g.adj[v] for u, v in g.edges())
 
 
+def _max_degree(g):
+    return max(row.bit_count() for row in g.adj)
+
+
+def _canonical_deletion(g):
+    """g less its canonical deletion, isolated vertices dropped: among the
+    edges of the canonical representative with the least (degree sum,
+    least degree, common neighbours), the least one."""
+    r = canonical_representative(g)
+
+    def key(e):
+        du, dv = r.degree(e[0]), r.degree(e[1])
+        return du + dv, min(du, dv), (r.adj[e[0]] & r.adj[e[1]]).bit_count()
+
+    least = min(map(key, r.edges()))
+    u, v = min(e for e in r.edges() if key(e) == least)
+    return r.delete_edge(u, v).without_isolated()
+
+
 def test_enumerate_graphs_honours_grow():
     bounds = SearchBounds(7, 8)
     full = list(enumerate_graphs(bounds))
@@ -197,22 +217,33 @@ def test_enumerate_graphs_honours_grow():
         # asked only about a graph the caller has already received
         assert g in yielded
         asked.append(g)
-        return not _has_triangle(g)
+        if _has_triangle(g):
+            return False
+        return lambda child: _max_degree(child) <= 3
 
     for g in enumerate_graphs(bounds, grow=grow):
         yielded.append(g)
     assert asked
-    # triangle-freeness is closed under subgraphs: those classes all survive, in order
-    free = [certificate(g) for g in full if not _has_triangle(g)]
-    assert [certificate(g) for g in yielded if not _has_triangle(g)] == free
+    # triangle-free graphs of degree at most 3 are closed under subgraphs:
+    # those classes all survive, in order
+    def accepted(g):
+        return not _has_triangle(g) and _max_degree(g) <= 3
 
-    def grown_parent(g):
-        return g.edge_count == 1 or any(
-            not _has_triangle(g.delete_edge(u, v).without_isolated()) for u, v in g.edges()
-        )
+    kept = [certificate(g) for g in full if accepted(g)]
+    assert [certificate(g) for g in yielded if accepted(g)] == kept
+    # a class is emitted iff it is K2, or its canonical deletion was emitted
+    # and grown, and the class passed that graph's test
+    emitted = {certificate(g) for g in yielded}
+    grown = {certificate(g) for g in asked if not _has_triangle(g)}
+    assert len(emitted) == len(yielded)
 
-    assert all(grown_parent(g) for g in yielded)
-    assert {certificate(g) for g in yielded} == {certificate(g) for g in full if grown_parent(g)}
+    def reached(g):
+        if g.edge_count == 1:
+            return True
+        parent = certificate(_canonical_deletion(g))
+        return parent in emitted and parent in grown and _max_degree(g) <= 3
+
+    assert emitted == {certificate(g) for g in full if reached(g)}
     assert len(yielded) < len(full)
 
 
