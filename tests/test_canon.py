@@ -1,3 +1,4 @@
+import hashlib
 import random
 from itertools import combinations
 
@@ -148,3 +149,53 @@ def test_symmetric_graphs_keep_their_certificate_under_relabeling(g):
     perm = list(range(g.n))
     random.Random(3).shuffle(perm)
     assert certificate(g.relabel(perm)) == certificate(g)
+
+
+def complete_bipartite(a, b):
+    return Graph.from_edges(a + b, [(u, v) for u in range(a) for v in range(a, a + b)])
+
+
+def planted_twins(rng):
+    """A random graph on at most 10 vertices in which some rows are copied
+    from others: each copy makes an open twin (the rows only) or, with the
+    edge between the two added, a closed one."""
+    n = rng.randint(2, 10)
+    rows = [0] * n
+    for u, v in combinations(range(n), 2):
+        if rng.random() < 0.4:
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
+    for _ in range(rng.randint(1, 3)):
+        u, w = rng.sample(range(n), 2)
+        closed = rng.random() < 0.5
+        for v in range(n):
+            if v != w:
+                rows[v] &= ~(1 << w)
+        rows[w] = rows[u] & ~(1 << w)
+        if closed:
+            rows[w] |= 1 << u
+        for v in range(n):
+            if rows[w] >> v & 1:
+                rows[v] |= 1 << w
+    return Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rows[u] >> v & 1])
+
+
+def twin_rich_family():
+    family = [build_from_text(f"S{r}") for r in range(1, 13)]
+    family += [Graph.complete(n) for n in range(1, 11)]
+    family += [complete_bipartite(a, b) for a in range(1, 6) for b in range(a, 6)]
+    for a in range(1, 6):
+        for b in range(1, 6):
+            for j in range(4):
+                family.append(build_from_text(f"S{a}+S{b}" + f"+{j}K2" * bool(j)))
+    rng = random.Random(17)
+    family += [planted_twins(rng) for _ in range(50)]
+    return family
+
+
+def test_twin_rich_labelings_are_pinned():
+    # certificate and canonical labeling of stars, complete and complete
+    # bipartite graphs, star forests with matchings, and random graphs with
+    # planted twins
+    lines = [f"{certificate(g).decode()} {canonical_form(g).permutation}" for g in twin_rich_family()]
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16] == "535822974eb563b8"
