@@ -357,13 +357,16 @@ def _copy_plan(pattern: Graph):
     return namespace["_list"]
 
 
-def has_copy(host: Graph, pattern: Graph) -> bool:
-    """Whether host contains pattern, asked of the copy kernel for a first
-    copy (every edge index 0): its symmetry conditions and room checks
-    prune what `contains_copy` walks in full (every partial matching, for a
-    kK2 missing from the host)."""
-    degs = [row.bit_count() for row in host.adj]
-    return _copy_plan(pattern)(host.adj, degs, 0, [], [[0] * host.n] * host.n, [[]])[0] > 0
+def has_copy(host: Graph, *patterns: Graph) -> bool:
+    """Whether host contains any of the patterns, asked of each one's copy
+    kernel for a first copy (every edge index 0): its symmetry conditions
+    and room checks prune what `contains_copy` walks in full (every partial
+    matching, for a kK2 missing from the host). The host's degrees and
+    index rows are built once for all the patterns."""
+    adj = host.adj
+    degs = [row.bit_count() for row in adj]
+    eidx = [[0] * host.n] * host.n
+    return any(_copy_plan(pattern)(adj, degs, 0, [], eidx, [[]])[0] for pattern in patterns)
 
 
 # ---------------------------------------------------------------------------

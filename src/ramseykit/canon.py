@@ -23,11 +23,29 @@ Two rules use them, and neither changes the certificate or the labeling:
   ancestor onto the best leaf's branch, which is already explored; the
   search resumes at that ancestor.
 
-The generators found this way generate Aut of the component. `_canon`
-moves them into the canonical labeling and adds one swap for each pair of
-consecutive isomorphic components, so `CanonicalForm.automorphisms`
-generates Aut of the whole graph. Complete graphs cost about n leaves, not
-n!.
+Each node's rule reads every known generator that fixes its path, not
+only those found below it.
+
+Twins are vertices with equal open neighbourhoods or equal closed ones
+(the leaves of a star, the two ends of a K2, all of a K_n); one pass per
+component finds their classes and seeds the generators with the swap of
+each pair of consecutive twins. When the first non-singleton cell lies in
+one twin class, it is split into singletons in ascending order, and the
+path grows by all but its last vertex, with no branch and no refinement.
+That is the first child at each step, exactly: every other cell of an
+equitable partition holds all of the class or none of it (the class less
+the path; a swap of two twins off the path fixes the path and so maps
+each cell onto itself), so a vertex of another cell is adjacent to all
+of the cell or to none of it, and splitting off a twin leaves the
+partition equitable. Every permutation of the cell is an automorphism fixing the
+path, so each skipped child is the image of the first one, which the
+seeded swaps also give. Stars, matchings and complete graphs reach one
+leaf after one refinement, and K_{a,a} two leaves.
+
+The generators found this way, with the seeded swaps, generate Aut of
+the component. `_canon` moves them into the canonical labeling and adds
+one swap for each pair of consecutive isomorphic components, so
+`CanonicalForm.automorphisms` generates Aut of the whole graph.
 
 Two graphs are isomorphic iff their certificates are equal; verified
 against brute-force permutation search in the test suite, as are the
@@ -113,6 +131,34 @@ def _orbit_closure(mask, gens):
     return mask
 
 
+def _twins(n, adj):
+    """Each vertex's twin class as a bitmask, 0 for a vertex with no twin,
+    and the transpositions of consecutive twins. Twins share their open
+    neighbourhood (never adjacent) or their closed one (always adjacent).
+    A vertex v with an open twin u and a closed twin w would have w in
+    N(v) = N(u), so u in N[w] = N[v], and v ~ u, which open twins are not:
+    each vertex lies in at most one nontrivial class. No open key equals a
+    closed one: N(u) = N[v] puts v in N(u), so u in N(v), a loop."""
+    keys = [*adj, *(a | 1 << v for v, a in enumerate(adj))]
+    twin = [0] * n
+    swaps = []
+    if len(set(keys)) == 2 * n:  # no twins
+        return twin, swaps
+    classes = {}
+    for i, key in enumerate(keys):
+        classes.setdefault(key, []).append(i % n)
+    for members in classes.values():
+        if len(members) > 1:
+            mask = sum(1 << v for v in members)
+            for v in members:
+                twin[v] = mask
+            for u, v in zip(members, members[1:]):
+                image = list(range(n))
+                image[u], image[v] = v, u
+                swaps.append(tuple(image))
+    return twin, swaps
+
+
 def _canon_connected(n, adj):
     """Return (packed adjacency int under the best labeling, perm,
     generators of Aut); perm maps vertex -> label, each generator maps
@@ -128,7 +174,7 @@ def _canon_connected(n, adj):
     best_perm = None
     best_inv = None
     best_path = ()
-    gens = []
+    twin, gens = _twins(n, adj)
 
     def leaf(cells, path):
         """Score a discrete partition; return the depth to resume at."""
@@ -165,17 +211,25 @@ def _canon_connected(n, adj):
         depth of the node to resume at."""
         if len(cells) < n:  # a discrete partition is already equitable
             cells = _refine(adj, cells)
-        target = None
-        for idx, cell in enumerate(cells):
-            if len(cell) > 1:
-                target = idx
+        while True:
+            target = None
+            for idx, cell in enumerate(cells):
+                if len(cell) > 1:
+                    target = idx
+                    break
+            if target is None:
+                return leaf(cells, path)
+            cell = cells[target]
+            mask = twin[cell[0]]
+            if not mask or any(twin[v] != mask for v in cell):
                 break
-        if target is None:
-            return leaf(cells, path)
+            # a cell of twins: each first child is already equitable, and
+            # the cell's permutations fix the path (module docstring)
+            cells = cells[:target] + [(v,) for v in cell] + cells[target + 1:]
+            path += cell[:-1]
         depth = len(path)
-        cell = cells[target]
-        stabilizer = []  # generators fixing path pointwise
-        scanned = len(gens)
+        stabilizer = []  # known generators fixing path pointwise
+        scanned = 0  # gens[:scanned] are sorted into stabilizer or not
         covered = 0  # orbit of the explored children under stabilizer
         for v in cell:
             if covered >> v & 1:

@@ -308,7 +308,7 @@ def enumerate_ramsey_minimal(G: Graph, H: Graph, bounds: SearchBounds) -> Minima
     def is_near(g: Graph, i: int) -> bool:
         if i not in deletions:
             deletions[i] = _deletions(members[i].graph)
-        return any(has_copy(g, d) for d in deletions[i])
+        return has_copy(g, *deletions[i])
 
     def grow(g: Graph) -> Growth:
         if g in closed:
@@ -319,7 +319,7 @@ def enumerate_ramsey_minimal(G: Graph, H: Graph, bounds: SearchBounds) -> Minima
         ]
         if not near:
             return True
-        return lambda child: not any(has_copy(child, M) for M in near)
+        return lambda child: not has_copy(child, *near)
 
     for F in enumerate_graphs(bounds, grow=grow):
         report = is_ramsey_minimal(F, G, H, budget=budget)

@@ -169,6 +169,18 @@ def test_has_copy_of_the_pattern_without_vertices():
         assert contains_copy(host, empty) == {}
 
 
+def test_has_copy_of_several_patterns_asks_whether_any_is_contained():
+    patterns = [b(name) for name in ("K4", "C5", "2K3", "P4+K2")]
+    hosts = [sample_gnp(n, p, seed) for n, p in ((7, 0.3), (9, 0.5)) for seed in range(3)]
+    hosts += [b(h) for h in ("K4", "C5+K2", "2K3", "3K2", "K1")]
+    for F in hosts:
+        want = [contains_copy(F, P) is not None for P in patterns]
+        assert has_copy(F, *patterns) == any(want), F.edges()
+        for i in range(len(patterns)):
+            assert has_copy(F, *patterns[i:], *patterns[:i]) == any(want)
+        assert not has_copy(F)
+
+
 def test_patterns_larger_than_the_host_are_answered_at_once():
     # K11 holds no P12, but every vertex has degree >= 2: without the
     # kernel's vertex count the walk tries about 11! vertex orders, and the

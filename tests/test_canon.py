@@ -1,10 +1,12 @@
 import hashlib
 import random
 from itertools import combinations
+from math import factorial
 
 import pytest
 
 from oracles import brute_automorphism_count, brute_isomorphic, naive_classes_exactly
+from ramseykit import canon
 from ramseykit import (
     Graph,
     SearchBounds,
@@ -199,3 +201,45 @@ def test_twin_rich_labelings_are_pinned():
     # planted twins
     lines = [f"{certificate(g).decode()} {canonical_form(g).permutation}" for g in twin_rich_family()]
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16] == "535822974eb563b8"
+
+
+TWIN_GROUP_ORDERS = (
+    [(f"S{r}", build_from_text(f"S{r}"), factorial(r)) for r in (2, 5, 8)]
+    + [(f"K{n}", Graph.complete(n), factorial(n)) for n in (1, 2, 5, 8)]
+    + [
+        (f"K{a},{b}", complete_bipartite(a, b), factorial(a) * factorial(b) * (2 if a == b else 1))
+        for a, b in ((1, 1), (2, 2), (2, 5), (3, 4), (4, 4), (5, 5))
+    ]
+    + [(f"{k}K2", build_from_text(f"{k}K2"), 2**k * factorial(k)) for k in (1, 3, 6)]
+    + [(f"S{a}+S{a}", build_from_text(f"S{a}+S{a}"), 2 * factorial(a) ** 2) for a in (2, 3, 5)]
+)
+
+
+@pytest.mark.parametrize("g, order", [t[1:] for t in TWIN_GROUP_ORDERS], ids=[t[0] for t in TWIN_GROUP_ORDERS])
+def test_twin_rich_automorphism_groups_have_their_closed_form_orders(g, order):
+    assert order <= 10**5
+    assert checked_aut_order(g) == order
+
+
+@pytest.mark.parametrize(
+    "family, sizes",
+    [
+        (lambda r: build_from_text(f"S{r}"), (3, 10, 30, 60)),
+        (Graph.complete, (3, 10, 30, 64)),
+        (lambda a: complete_bipartite(a, a), (2, 5, 16, 32)),
+    ],
+    ids=["stars", "complete", "balanced complete bipartite"],
+)
+def test_twin_cells_need_no_refinement_per_vertex(family, sizes, monkeypatch):
+    # a cell of twins is split without branching or refining, so the count
+    # is the same at every size
+    calls = []
+    refine = canon._refine
+    monkeypatch.setattr(canon, "_refine", lambda adj, cells: calls.append(cells) or refine(adj, cells))
+    counts = set()
+    for size in sizes:
+        calls.clear()
+        g = family(size)
+        canon._canon_connected(g.n, g.adj)
+        counts.add(len(calls))
+    assert len(counts) == 1, counts
