@@ -23,8 +23,8 @@ Two rules use them, and neither changes the certificate or the labeling:
   ancestor onto the best leaf's branch, which is already explored; the
   search resumes at that ancestor.
 
-Each node's rule reads every known generator that fixes its path, not
-only those found below it.
+The first rule reads every known generator that fixes S, not only those
+found below the node.
 
 Twins are vertices with equal open neighbourhoods or equal closed ones
 (the leaves of a star, the two ends of a K2, all of a K_n); one pass per
@@ -37,10 +37,10 @@ equitable partition holds all of the class or none of it (the class less
 the path; a swap of two twins off the path fixes the path and so maps
 each cell onto itself), so a vertex of another cell is adjacent to all
 of the cell or to none of it, and splitting off a twin leaves the
-partition equitable. Every permutation of the cell is an automorphism fixing the
-path, so each skipped child is the image of the first one, which the
-seeded swaps also give. Stars, matchings and complete graphs reach one
-leaf after one refinement, and K_{a,a} two leaves.
+partition equitable. Every permutation of the cell is an automorphism
+fixing the path, so each skipped child is the image of the first one,
+by a product of the seeded swaps. Stars, matchings and complete graphs
+reach one leaf after one refinement, and K_{a,a} two leaves.
 
 The generators found this way, with the seeded swaps, generate Aut of
 the component. `_canon` moves them into the canonical labeling and adds
