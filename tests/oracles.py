@@ -162,6 +162,39 @@ def _subset_vertices(mask):
     return tuple(out)
 
 
+def subset_profile(X: Graph):
+    """For k = 0..n: the most edges of a k-vertex induced subgraph of X, and
+    the lexicographically first vertex subset (a bitmask) that has them.
+
+    Subsets are visited by their highest vertex h: e(S) = e(R) + |N(h) & R|
+    with R = S - {h}, and R < S was visited before. For two subsets of one
+    size, S's vertex tuple sorts first iff the lowest vertex of S ^ T is in S.
+    """
+    _check_size(X)
+    n = X.n
+    edges = memoryview(bytearray(2 << n)).cast("H")
+    best = [-1] * (n + 1)
+    best_mask = [0] * (n + 1)
+    best[0] = 0
+    for h in range(n):
+        row = X.adj[h]
+        top = 1 << h
+        for rest in range(top):
+            e = edges[rest] + (row & rest).bit_count()
+            mask = top | rest
+            edges[mask] = e
+            k = mask.bit_count()
+            most = best[k]
+            if e > most:
+                best[k] = e
+                best_mask[k] = mask
+            elif e == most:
+                diff = mask ^ best_mask[k]
+                if mask & diff & -diff:
+                    best_mask[k] = mask
+    return best, best_mask
+
+
 def max_over_subsets(X: Graph, min_size: int, score):
     """Maximize score(edge_count, vertex_count) over induced subgraphs with
     at least min_size vertices. Ties go to the smallest subset, then the

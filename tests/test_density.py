@@ -1,12 +1,13 @@
 import hashlib
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
-from oracles import naive_classes_no_isolated_upto, subset_m2, subset_m2_pair, subset_rho
-from ramseykit import build_from_text, density_report, m2, m2_pair, rho, sample_gnp, threshold_p
-from ramseykit.density import DensityReport
+from oracles import naive_classes_no_isolated_upto, subset_m2, subset_m2_pair, subset_profile, subset_rho
+from ramseykit import Graph, build_from_text, density_report, m2, m2_pair, rho, sample_gnp, threshold_p
+from ramseykit.density import DensityReport, DensityValue, _profile
 
 b = build_from_text
 
@@ -128,11 +129,35 @@ def test_density_report_bundle():
 
 
 def test_subset_cap_enforced():
-    from ramseykit import Graph
-
     big = Graph.from_edges(25, [(0, 1)])
     with pytest.raises(ValueError):
         rho(big)
+
+
+def test_density_at_the_subset_cap():
+    X = b("12K2")
+    assert X.n == 24
+    tracemalloc.start()
+    try:
+        rep = density_report(X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.rho == DensityValue(Fraction(1, 2), (0, 1))
+    assert rep.m2 is None
+    assert peak < 1 << 20  # a few 2 KB chunks, not 2 bytes for each of the 2^24 subsets
+    rep = density_report(b("K12+K12"))
+    assert rep.rho == DensityValue(Fraction(11, 2), tuple(range(12)))
+    assert rep.m2 == DensityValue(Fraction(13, 2), tuple(range(12)))
+
+
+def test_profile_matches_byte_array_oracle():
+    graphs = list(naive_classes_no_isolated_upto(5))
+    graphs += [sample_gnp(n, p, seed=n) for n in range(17) for p in (0.1, 0.35, 0.6, 0.9)]
+    # ties across chunks of 2^10 subsets
+    graphs += [Graph.from_edges(16, []), b("8K2"), b("K8+K8"), b("K16")]
+    for X in graphs:
+        assert _profile(X) == subset_profile(X), X.edges()
 
 
 def test_rho_near_subset_cap():
