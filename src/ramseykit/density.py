@@ -10,10 +10,12 @@ each size can win.
 One pass over the 2^n vertex subsets of X therefore builds X's profile: for
 each size k, the largest edge count of a k-vertex induced subgraph and the
 lexicographically first subset that reaches it. Edge counts are held as
-16-bit lanes of Python ints, in chunks of 2^10 subsets (2 KB), so the pass
-runs as big-integer and memoryview operations with no Python step per
-subset: about 0.06 ms at 10 vertices and 0.6-0.8 s at the 24-vertex cap,
-with a traced peak near 60 KB, on a 2-core VM with Python 3.11. Each
+16-bit lanes of Python ints, in chunks of 2^10 subsets (2 KB), and the
+chunks with the same number of vertices beyond the first ten are merged by
+a lane-wise maximum and read once, so the pass runs as big-integer and
+memoryview operations with no Python step per subset: about 0.06 ms at 10
+vertices and 0.04-0.2 s at the 24-vertex cap, with a traced peak under
+80 KB, on a 2-core VM with Python 3.11. Each
 parameter is then read from the profile in n+1 integer cross-multiplications
 and one Fraction, and one profile serves rho, m2 and the pair value. No
 floating point appears in any parameter value; floats enter only in the
@@ -27,13 +29,14 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 from operator import itemgetter
 from typing import Optional, Tuple
 
 from .graphs import Graph
 
 MAX_SUBSET_VERTICES = 24
-_LANE_BITS = 16  # an edge count is at most C(24, 2) = 276
+_LANE_BITS = 16  # an edge count is at most C(24, 2) = 276 < 2^15
 _LOW_VERTICES = 10  # a chunk holds 2^10 lanes, 2 KB
 # _ONES[j]: 2^j lanes, each holding 1
 _ONES = tuple(int.from_bytes(b"\x01\x00" * (1 << j), "little") for j in range(_LOW_VERTICES + 1))
@@ -86,15 +89,12 @@ def _count_lanes(row: int, k: int) -> int:
 def _size_groups(c: int) -> tuple:
     """For k = 0..c: a getter of the lanes of the k-subsets of c low
     vertices, and those lane indices, in lexicographic order of their
-    vertex tuples. Of two k-subsets, the one that sorts first has the
-    larger mask once its c bits are reversed, so walking the reversed masks
-    r downwards lists each size in that order."""
-    reverse = [0]
-    for j in range(c):
-        reverse += [mask | 1 << (c - 1 - j) for mask in reverse]
-    by_size = [[] for _ in range(c + 1)]
-    for r in reversed(range(1 << c)):
-        by_size[r.bit_count()].append(reverse[r])
+    vertex tuples. Among the subsets of vertices v..c-1, those that hold v
+    sort first, so each size follows from two sizes over v+1..c-1."""
+    by_size = [[0]]
+    for v in reversed(range(c)):
+        bit = 1 << v
+        by_size = [[L | bit for L in fewer] + same for fewer, same in zip([[]] + by_size, by_size + [[]])]
     groups = []
     for ids in by_size:
         # int.to_bytes in big-endian order puts lane L at position 2^c-1-L
@@ -102,6 +102,20 @@ def _size_groups(c: int) -> tuple:
         # itemgetter of a single index returns the bare value, not a tuple
         groups.append((itemgetter(*at) if len(at) > 1 else itemgetter(*at, *at), tuple(ids)))
     return tuple(groups)
+
+
+def _first_high(adj: tuple, c: int, low: int, s: int, most: int) -> int:
+    """The lexicographically first s-subset T of the high vertices c..n-1
+    with e(T + low) - e(low) = most, as a mask."""
+    gain = [(row & low).bit_count() for row in adj]
+    for T in combinations(range(c, len(adj)), s):
+        e = 0
+        mask = 0
+        for t in T:
+            e += gain[t] + (adj[t] & mask).bit_count()
+            mask |= 1 << t
+        if e == most:
+            return mask
 
 
 def _profile(X: Graph) -> Tuple[list, list]:
@@ -113,11 +127,12 @@ def _profile(X: Graph) -> Tuple[list, list]:
     c low vertices span one chunk of 2^c lanes, built by doubling: e(L + h)
     = e(L) + |N(h) & L| for L below h. Each subset T of the high vertices
     has its own chunk, e(T + L) = e(L) + sum over t in T of |N(t) & L| +
-    e(T), and the chunks are visited in Gray-code order, each one adding or
-    removing one vertex t of the previous. A chunk is read as 16-bit values
-    and its maximum per size taken over the lanes of that size. For two
-    subsets of one size, S's vertex tuple sorts first iff the lowest vertex
-    of S ^ T is in S.
+    e(T), visited in Gray-code order and merged into the accumulator of its
+    |T| by a lane-wise maximum (an edge count is below 2^15, so the top bit
+    of a lane guards the subtraction). Each accumulator is read once, by
+    the lanes of each low size. S sorts before R of its size iff the lowest
+    vertex of S ^ R is in S, and every low vertex precedes every high one,
+    so the low part of the winner decides first; then _first_high finds T.
     """
     _check_size(X)
     n = X.n
@@ -128,27 +143,41 @@ def _profile(X: Graph) -> Tuple[list, list]:
         lanes |= (lanes + _count_lanes(adj[h], h)) << (_LANE_BITS << h)
     cross = [_count_lanes(adj[t], c) for t in range(c, n)]
     ones = _ONES[c]
+    guard = ones << (_LANE_BITS - 1)
+    acc = [lanes] + [0] * (n - c)
+    high = 0
+    for i in range(1, 1 << (n - c)):
+        t = c + (i & -i).bit_length() - 1
+        step = cross[t - c] + (adj[t] & high).bit_count() * ones
+        high ^= 1 << t
+        lanes = lanes + step if high >> t & 1 else lanes - step
+        s = high.bit_count()
+        a = acc[s]
+        # the guard bit stays set in each lane where lanes >= a
+        more = (lanes | guard) - a & guard
+        acc[s] = a ^ (lanes ^ a) & (more - (more >> (_LANE_BITS - 1)))
     groups = _size_groups(c)
     width = 2 << c
     best = [-1] * (n + 1)
-    best_mask = [0] * (n + 1)
-    high = 0
-    for i in range(1 << (n - c)):
-        if i:
-            t = c + (i & -i).bit_length() - 1
-            step = cross[t - c] + (adj[t] & high).bit_count() * ones
-            high ^= 1 << t
-            lanes = lanes + step if high >> t & 1 else lanes - step
-        values = memoryview(lanes.to_bytes(width, sys.byteorder)).cast("H")
-        for k, (get, ids) in enumerate(groups, high.bit_count()):
+    low = [0] * (n + 1)
+    for s, a in enumerate(acc):
+        values = memoryview(a.to_bytes(width, sys.byteorder)).cast("H")
+        for k, (get, ids) in enumerate(groups, s):
             chunk = get(values)
             most = max(chunk)
             if most >= best[k]:
-                mask = high | ids[chunk.index(most)]
-                diff = mask ^ best_mask[k]
-                if most > best[k] or mask & diff & -diff:
+                L = ids[chunk.index(most)]
+                diff = L ^ low[k]
+                if most > best[k] or L & diff & -diff:
                     best[k] = most
-                    best_mask[k] = mask
+                    low[k] = L
+    best_mask = []
+    for k, L in enumerate(low):
+        s = k - L.bit_count()
+        if s:
+            e_low = acc[0] >> _LANE_BITS * L & 0xFFFF
+            L |= _first_high(adj, c, L, s, best[k] - e_low)
+        best_mask.append(L)
     return best, best_mask
 
 
@@ -175,14 +204,13 @@ def _m2(profile) -> DensityValue:
     return _best(profile, 3, lambda e, v: (e - 1, v - 2))
 
 
-def _require_cycles(G: Graph, H: Graph):
-    if not (G.has_cycle() and H.has_cycle()):
+def _require_cycles(G_has_cycle: bool, H: Graph):
+    if not (G_has_cycle and H.has_cycle()):
         raise ValueError("m2_pair requires both graphs to contain a cycle")
 
 
-def _m2_pair(profile_G, profile_H) -> PairDensity:
-    """m2(G,H) from the profiles of two graphs that both contain a cycle."""
-    m2G = _m2(profile_G).value
+def _m2_pair(profile_G, m2G: Fraction, profile_H) -> PairDensity:
+    """m2(G,H) from two profiles and m2(G), both graphs with a cycle."""
     m2H = _m2(profile_H).value
     swapped = m2G < m2H
     if swapped:
@@ -212,19 +240,21 @@ def m2_pair(G: Graph, H: Graph) -> PairDensity:
     """The asymmetric density parameter: maximize e(J)/(v(J)-2+1/m2(H))
     over subgraphs J of G with >= 2 vertices, after ordering the pair so
     that m2(G) >= m2(H). Both graphs must contain a cycle."""
-    _require_cycles(G, H)
-    return _m2_pair(_profile(G), _profile(H))
+    _require_cycles(G.has_cycle(), H)
+    profile = _profile(G)
+    return _m2_pair(profile, _m2(profile).value, _profile(H))
 
 
 def density_report(X: Graph, pair_with: Optional[Graph] = None) -> DensityReport:
     """rho, m2 and, given pair_with, m2(X, pair_with), from one pass over X."""
     if X.n < 1:
         raise ValueError("rho needs at least one vertex")
+    cyclic = X.has_cycle()
     if pair_with is not None:
-        _require_cycles(X, pair_with)
+        _require_cycles(cyclic, pair_with)
     profile = _profile(X)
-    m = _m2(profile) if X.has_cycle() else None
-    mp = None if pair_with is None else _m2_pair(profile, _profile(pair_with))
+    m = _m2(profile) if cyclic else None
+    mp = None if pair_with is None else _m2_pair(profile, m.value, _profile(pair_with))
     return DensityReport(_rho(profile), m, mp)
 
 

@@ -7,7 +7,7 @@ import pytest
 
 from oracles import naive_classes_no_isolated_upto, subset_m2, subset_m2_pair, subset_profile, subset_rho
 from ramseykit import Graph, build_from_text, density_report, m2, m2_pair, rho, sample_gnp, threshold_p
-from ramseykit.density import DensityReport, DensityValue, _profile
+from ramseykit.density import DensityReport, DensityValue, _profile, _size_groups
 
 b = build_from_text
 
@@ -145,7 +145,7 @@ def test_density_at_the_subset_cap():
         tracemalloc.stop()
     assert rep.rho == DensityValue(Fraction(1, 2), (0, 1))
     assert rep.m2 is None
-    assert peak < 1 << 20  # a few 2 KB chunks, not 2 bytes for each of the 2^24 subsets
+    assert peak < 1 << 18  # a few 2 KB accumulators, not 2 bytes for each of the 2^24 subsets
     rep = density_report(b("K12+K12"))
     assert rep.rho == DensityValue(Fraction(11, 2), tuple(range(12)))
     assert rep.m2 == DensityValue(Fraction(13, 2), tuple(range(12)))
@@ -155,9 +155,35 @@ def test_profile_matches_byte_array_oracle():
     graphs = list(naive_classes_no_isolated_upto(5))
     graphs += [sample_gnp(n, p, seed=n) for n in range(17) for p in (0.1, 0.35, 0.6, 0.9)]
     # ties across chunks of 2^10 subsets
-    graphs += [Graph.from_edges(16, []), b("8K2"), b("K8+K8"), b("K16")]
+    graphs += [Graph.from_edges(16, []), b("8K2"), b("K8+K8"), b("K16"), b("9K2")]
+    # maxima among the high vertices, and ties across high subset sizes
+    graphs += [Graph.from_edges(n, []) for n in range(11, 19)]
+    graphs += [b(f"K{n}") for n in range(11, 19)]
+    graphs.append(Graph.from_edges(16, [(0, 1), (2, 3), (3, 4)] + list(combinations(range(11, 16), 2))))
+    graphs += [sample_gnp(n, p, seed=n) for n in (17, 18) for p in (0.2, 0.5)]
     for X in graphs:
         assert _profile(X) == subset_profile(X), X.edges()
+
+
+def test_profile_at_the_subset_cap():
+    graphs = [b("12K2"), b("K12+K12"), b("K24"), Graph.from_edges(24, [])]
+    for X in graphs:
+        best, best_mask = _profile(X)
+        for k, mask in enumerate(best_mask):
+            assert mask.bit_count() == k
+            assert X.induced([v for v in range(24) if mask >> v & 1]).edge_count == best[k]
+    # K4 on the last four vertices: the winners' high parts lie at or near
+    # the end of the lexicographic walk over their size
+    best, best_mask = _profile(Graph.from_edges(24, list(combinations(range(20, 24), 2))))
+    assert best == [0, 0, 1, 3] + [6] * 21
+    assert best_mask[:5] == [0, 1, 3 << 20, 7 << 20, 15 << 20]
+    assert best_mask[5:] == [(1 << j) - 1 | 15 << 20 for j in range(1, 21)]
+
+
+def test_size_groups_list_each_size_lexicographically():
+    for c in range(11):
+        for k, (_, ids) in enumerate(_size_groups(c)):
+            assert ids == tuple(sum(1 << v for v in vs) for vs in combinations(range(c), k))
 
 
 def test_rho_near_subset_cap():
