@@ -53,12 +53,21 @@ colors are free. Outcomes are three-valued: a witness coloring (no
 arrowing), an exhausted search (arrowing proven), or an explicit unknown
 when the work would pass the node budget. A budget hit is never silently
 reported as a verdict.
+
+A witness `EdgeColoring` holds the host and the adjacency rows of its red
+and its blue class, like `Graph.adj`. The search sets the bits of the blue
+edges only and takes red as host XOR blue; a one-color witness shares the
+host's rows. `assignment`, a dict {(u, v): color}, is built on each read,
+in lexicographic edge order. In a dict given to `EdgeColoring(host,
+assignment)`, an entry that is not an edge (u, v), u < v, of the host, or
+whose color is neither red nor blue, makes the coloring not total, so
+`is_good` rejects it.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
@@ -373,20 +382,68 @@ def has_copy(host: Graph, *patterns: Graph) -> bool:
 # Colorings
 
 
-@dataclass
+@dataclass(init=False, slots=True)
 class EdgeColoring:
-    """Red/blue assignment on the edges of a host graph; edges absent from
-    the assignment are unassigned."""
+    """Red/blue coloring of some edges of a host graph, held as the
+    adjacency rows of its red and of its blue class; edges in neither are
+    unassigned.
+
+    `EdgeColoring(host, assignment)` takes a dict {(u, v): color}. An entry
+    that is not an edge (u, v), u < v, of the host, or whose color is
+    neither RED nor BLUE, is kept in no class and only sets `stray`, which
+    makes the coloring not total."""
 
     host: Graph
-    assignment: Dict[Tuple[int, int], str] = field(default_factory=dict)
+    red: tuple
+    blue: tuple
+    stray: bool
+
+    def __init__(self, host: Graph, assignment: Optional[Dict[Tuple[int, int], str]] = None):
+        red, blue = [0] * host.n, [0] * host.n
+        stray = False
+        for e, color in (assignment or {}).items():
+            rows = red if color == RED else blue if color == BLUE else None
+            try:
+                u, v = e
+                ok = rows is not None and 0 <= u < v and host.has_edge(u, v)
+            except (TypeError, ValueError):  # not a pair of integers
+                ok = False
+            if not ok:
+                stray = True
+                continue
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
+        self.host, self.red, self.blue, self.stray = host, tuple(red), tuple(blue), stray
+
+    @classmethod
+    def _trusted(cls, host: Graph, red: tuple, blue: tuple) -> "EdgeColoring":
+        """Build from disjoint rows of host edges, taken as given."""
+        coloring = object.__new__(cls)
+        coloring.host, coloring.red, coloring.blue, coloring.stray = host, red, blue, False
+        return coloring
+
+    def edge_colors(self):
+        """(edge, color) of each colored edge (u, v), u < v, in
+        lexicographic order."""
+        for u, (r, b) in enumerate(zip(self.red, self.blue)):
+            row = (r | b) >> (u + 1) << (u + 1)
+            while row:
+                low = row & -row
+                row ^= low
+                yield (u, low.bit_length() - 1), RED if r & low else BLUE
+
+    @property
+    def assignment(self) -> Dict[Tuple[int, int], str]:
+        """The coloring as a dict {(u, v): color}, built on each read."""
+        return dict(self.edge_colors())
 
     def is_total(self) -> bool:
-        return set(self.assignment) == set(self.host.edges())
+        return not self.stray and all(r | b == a for r, b, a in zip(self.red, self.blue, self.host.adj))
 
     def color_class(self, color: str) -> Graph:
-        edges = [e for e, c in self.assignment.items() if c == color]
-        return Graph.from_edges(self.host.n, edges)
+        if color not in (RED, BLUE):
+            raise ValueError(f"color must be {RED!r} or {BLUE!r}, got {color!r}")
+        return Graph._trusted(self.host.n, self.red if color == RED else self.blue)
 
     def is_good(self, G: Graph, H: Graph) -> bool:
         """Total, no red copy of G, no blue copy of H."""
@@ -434,7 +491,8 @@ def _check_search(F: Graph, budget: int):
 
 
 def _monochrome(F: Graph, color: str) -> EdgeColoring:
-    return EdgeColoring(F, dict.fromkeys(F.edges(), color))
+    none = (0,) * F.n
+    return EdgeColoring._trusted(F, F.adj, none) if color == RED else EdgeColoring._trusted(F, none, F.adj)
 
 
 def _propagate(red, blue, queue, g_through, h_through):
@@ -560,8 +618,16 @@ def _search(F: Graph, G: Graph, H: Graph, budget: int):
             red, blue, e = stack.pop()
             state = _propagate(red, blue | 1 << e, [e], g_through, h_through)
         red, blue = state
-    coloring = EdgeColoring(F, {edges[i]: BLUE if blue >> i & 1 else RED for i in range(m)})
-    return False, coloring, nodes
+    # edges in no copy end red with the rest
+    rows = [0] * F.n
+    while blue:
+        low = blue & -blue
+        blue ^= low
+        u, v = edges[low.bit_length() - 1]
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+    blue_rows = tuple(rows)
+    return False, EdgeColoring._trusted(F, tuple(map(int.__xor__, F.adj, blue_rows)), blue_rows), nodes
 
 
 def arrows(F: Graph, G: Graph, H: Graph, budget: int = DEFAULT_NODE_BUDGET) -> ArrowVerdict:

@@ -81,10 +81,7 @@ def _labels(F: Graph) -> list:
 def _witness_doc(coloring, labels):
     if coloring is None:
         return None
-    return [
-        {"edge": [labels[u], labels[v]], "color": color}
-        for (u, v), color in sorted(coloring.assignment.items())
-    ]
+    return [{"edge": [labels[u], labels[v]], "color": color} for (u, v), color in coloring.edge_colors()]
 
 
 # Each handler gets the parsed arguments and then its graph arguments,

@@ -178,8 +178,9 @@ class Graph:
     def without_isolated(self) -> "Graph":
         """Induced subgraph on the non-isolated vertices; the graph itself
         when it has none."""
-        keep = [v for v in range(self.n) if self.adj[v]]
-        return self if len(keep) == self.n else self.induced(keep)
+        if 0 not in self.adj:
+            return self
+        return self.induced([v for v in range(self.n) if self.adj[v]])
 
     def connected_components(self) -> list:
         """Vertex sets of components, each a sorted list."""

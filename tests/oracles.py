@@ -4,8 +4,8 @@ Everything here deliberately avoids the library's canonical-labeling,
 pruned-search, embedding and density-profile code paths: isomorphism and
 automorphism counts by permutation search, isomorphism class generation by
 brute force, class counting by Burnside's lemma, copy counts (and so
-containment) by networkx's VF2 matcher, and density parameters by scoring
-every vertex subset.
+containment) by networkx's VF2 matcher, colorings checked as a dict of edge
+tuples, and density parameters by scoring every vertex subset.
 """
 
 from fractions import Fraction
@@ -74,6 +74,11 @@ def vf2_copy_count(host: Graph, pattern: Graph) -> int:
     return monos // auts
 
 
+def vf2_contains(host: Graph, pattern: Graph) -> bool:
+    """Whether host has a (not necessarily induced) copy of pattern."""
+    return GraphMatcher(_nx(host), _nx(pattern)).subgraph_is_monomorphic()
+
+
 @lru_cache(maxsize=None)
 def _vf2_automorphism_count(pattern: Graph) -> int:
     return len(vf2_automorphisms(pattern))
@@ -82,6 +87,28 @@ def _vf2_automorphism_count(pattern: Graph) -> int:
 def vf2_automorphisms(g: Graph) -> list:
     """Every automorphism of g, as a tuple mapping vertex -> image."""
     return [tuple(m[v] for v in range(g.n)) for m in GraphMatcher(_nx(g), _nx(g)).isomorphisms_iter()]
+
+
+# Colorings as a dict {(u, v): color}, with no color rows
+
+
+def dict_is_total(host: Graph, assignment: dict) -> bool:
+    """Every edge (u, v), u < v, of host has an entry and nothing else does."""
+    return set(assignment) == set(host.edges())
+
+
+def dict_color_class(host: Graph, assignment: dict, color: str) -> Graph:
+    return Graph.from_edges(host.n, [e for e, c in assignment.items() if c == color])
+
+
+def dict_is_good(host: Graph, assignment: dict, G: Graph, H: Graph) -> bool:
+    """Total, no red copy of G and no blue copy of H, by VF2. An entry of
+    any other color lies in neither class, so it passes here."""
+    return (
+        dict_is_total(host, assignment)
+        and not vf2_contains(dict_color_class(host, assignment, "red"), G)
+        and not vf2_contains(dict_color_class(host, assignment, "blue"), H)
+    )
 
 
 def _min_edge_signature(n, edges):

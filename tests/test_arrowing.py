@@ -1,11 +1,12 @@
 import hashlib
 import time
+import tracemalloc
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
-from oracles import vf2_automorphisms, vf2_copy_count
+from oracles import dict_is_good, vf2_automorphisms, vf2_copy_count
 from ramseykit import (
     EdgeColoring,
     Graph,
@@ -505,20 +506,94 @@ def _search_digest(questions):
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16]
 
 
-def test_search_work_and_witnesses_are_pinned():
-    # the verdict, the node count and the witness of every search at once:
-    # a change to the edge, copy or decision order shows here
+def _threshold_questions():
+    """1200 threshold questions (F, K3, K3): seed-1 draws at n = 8."""
     K3 = b("K3")
-    threshold_hosts = [
+    return [
         (graph_from_uniforms(8, threshold_p(K3, K3, 8, c), edge_uniforms(1, 8, i)), K3, K3)
         for c in (Fraction(1, 5), Fraction(1, 2), 1, 2)
         for i in range(300)
     ]
-    assert _search_digest(threshold_hosts) == "b009e85c1d0caf64"
+
+
+def test_search_work_and_witnesses_are_pinned():
+    # the verdict, the node count and the witness of every search at once:
+    # a change to the edge, copy or decision order shows here
+    K3 = b("K3")
+    assert _search_digest(_threshold_questions()) == "b009e85c1d0caf64"
     assert arrows(b("K9"), K3, b("K4")).nodes == 39336
     assert _search_digest([(b("K9"), K3, b("K4"))]) == "75346f74a3e7ba1d"
     asymmetric = [(b(f), b(g), K3) for g in ("C4", "2K2") for f in ("K4", "K6", "K7")]
     assert _search_digest(asymmetric) == "c221de4c26e4a79a"
+
+
+def _corruptions(w, G, H):
+    """The witness's assignment corrupted five ways, by name: one edge
+    recolored (the first whose new color makes a red G or a blue H, if
+    any), one edge dropped, a non-edge added, an edge added reversed, and
+    one edge given an unknown color."""
+    a = w.assignment
+    out = {"non-edge": {**a, next(e for e in combinations(range(w.host.n + 2), 2) if e not in a): "red"}}
+    if a:
+        other = {"red": "blue", "blue": "red"}
+        (u, v), color = next(iter(a.items()))
+        flips = ({**a, e: other[c]} for e, c in a.items())
+        out["recolor"] = next((x for x in flips if not EdgeColoring(w.host, x).is_good(G, H)), {**a, (u, v): other[color]})
+        out["drop"] = {e: c for e, c in a.items() if e != (u, v)}
+        out["reversed"] = {**a, (v, u): color}
+        out["unknown color"] = {**a, (u, v): "green"}
+    return out
+
+
+def test_witness_rows_agree_with_the_dict_oracle():
+    K3 = b("K3")
+    classes = list(enumerate_graphs(SearchBounds(7, 9)))
+    questions = _threshold_questions()
+    for G, H in ((K3, K3), (b("P3"), b("2K2")), (b("C4"), K3)):
+        questions += [(F, G, H) for F in classes]
+    witnesses = recolored_good = 0
+    for F, G, H in questions:
+        w = arrows(F, G, H).witness
+        if w is None:
+            continue
+        witnesses += 1
+        assert w.is_good(G, H) and dict_is_good(w.host, w.assignment, G, H)
+        assert EdgeColoring(w.host, w.assignment) == w
+        for name, bad in _corruptions(w, G, H).items():
+            got = EdgeColoring(w.host, bad).is_good(G, H)
+            assert got == (dict_is_good(w.host, bad, G, H) and name != "unknown color"), (name, F.edges())
+            if name == "recolor":
+                recolored_good += got  # when no single recoloring makes a red G or a blue H
+            else:
+                assert got is False, (name, F.edges())
+    assert (witnesses, recolored_good) == (1964, 808)
+
+
+def test_color_classes_are_the_rows():
+    F = b("C5")
+    w = EdgeColoring(F, {(0, 1): "red", (1, 2): "blue", (0, 4): "red"})
+    assert not w.is_total()
+    assert w.color_class("red") == Graph.from_edges(5, [(0, 1), (0, 4)])
+    assert w.color_class("blue") == Graph.from_edges(5, [(1, 2)])
+    assert list(w.edge_colors()) == [((0, 1), "red"), ((0, 4), "red"), ((1, 2), "blue")]
+    with pytest.raises(ValueError):
+        w.color_class("green")
+    for stray in ({(0, 1): "green"}, {(1, 0): "red"}, {(0, 2): "red"}, {(0, 9): "red"}, {(0, 1, 2): "red"}, {0: "red"}):
+        s = EdgeColoring(F, stray)
+        assert s.stray and not s.is_total() and s.assignment == {}
+
+
+def test_pinned_witnesses_are_small():
+    questions = _threshold_questions()
+    arrows(*questions[-1])  # the kernel of K3 is compiled outside the trace
+    tracemalloc.start()
+    try:
+        verdicts = [arrows(F, G, H) for F, G, H in questions]
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert sum(v.arrows is False for v in verdicts) == 1172
+    assert held < 800_000, held
 
 
 @pytest.mark.parametrize("name", ["P3", "2K2", "K3+K2"])
