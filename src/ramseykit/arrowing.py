@@ -454,7 +454,7 @@ class EdgeColoring:
         )
 
 
-@dataclass
+@dataclass(slots=True)
 class ArrowVerdict:
     """Outcome of one arrowing search: a good coloring (arrows False), an
     exhausted search (arrows True), or unknown (arrows None, budget hit)."""
@@ -490,8 +490,14 @@ def _check_search(F: Graph, budget: int):
             )
 
 
+@lru_cache(maxsize=128)
+def _zero_rows(n: int) -> Tuple[int, ...]:
+    """The rows of the empty graph on n vertices, one tuple per n."""
+    return (0,) * n
+
+
 def _monochrome(F: Graph, color: str) -> EdgeColoring:
-    none = (0,) * F.n
+    none = _zero_rows(F.n)
     return EdgeColoring._trusted(F, F.adj, none) if color == RED else EdgeColoring._trusted(F, none, F.adj)
 
 

@@ -36,19 +36,20 @@ edge e outside F). Graphs with no arrowing subgraph are closed under
 taking subgraphs, so they are all emitted and grown; the parent of a
 minimal graph is one of them and reaches it, and no member is lost. An
 extension that contains a member is dropped before it is canonicalized
-(and after the key gate). Every grown graph g is member-free, so
-an extension g + e contains a member M only if g contains a one-edge
-deletion M - e' (the copy of M in g + e uses e); only the members that pass
-this test for g, asked once per edge orbit of Aut(M), are looked for in
-g's extensions. Each question is asked of the same compiled copy kernel the
-arrowing search uses, which lists only real embeddings, so the drop loses
-no member either.
+(and after the key gate). Every grown graph g is member-free, so a member
+M in g + e has at most e(g) + 1 edges. If it has fewer, g + e is tested
+against it; if it has exactly e(g) + 1, g + e is a copy of M, whose
+class was already emitted, and the canonical-deletion check rejects it
+(each class is emitted once). So each extension is tested only against
+the members with at most e(g) edges. Each question is asked of the same
+compiled copy kernel the arrowing search uses, which lists only real
+embeddings, so the drop loses no member either.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional, Tuple, Union
+from typing import Callable, Iterator, List, Optional, Tuple, Union
 
 from .arrowing import DEFAULT_NODE_BUDGET, MinimalityReport, check_budget, has_copy, is_ramsey_minimal
 from .canon import CanonicalForm, canonical_form
@@ -265,15 +266,6 @@ class MinimalCatalog:
         }
 
 
-def _deletions(M: Graph) -> List[Graph]:
-    """The one-edge deletions of M with isolated vertices dropped, one per
-    orbit of Aut(M) on its edges."""
-    form = canonical_form(M)
-    rep = M.relabel(form.permutation)
-    edges = _orbit_firsts(rep.edges(), _pair_image, form.automorphisms)
-    return [rep.delete_edge(u, v).without_isolated() for u, v in edges]
-
-
 def enumerate_ramsey_minimal(G: Graph, H: Graph, bounds: SearchBounds) -> MinimalCatalog:
     """Every Ramsey-minimal graph for (G,H) within the bounds.
 
@@ -288,38 +280,27 @@ def enumerate_ramsey_minimal(G: Graph, H: Graph, bounds: SearchBounds) -> Minima
     and no member is lost.
 
     No candidate contains an earlier member: such a graph arrows but is
-    not minimal, and it is dropped before it is canonicalized. When a
-    graph g is grown, the members M with at most one edge more than g for
-    which g contains some one-edge deletion of M are its near members. g
-    is member-free (a member arrows, so it is not grown), so an extension
-    g + e that contains a member contains a near one (the copy uses e;
-    take it away), and each extension is checked against the near members
-    only. A member's deletions are found the first time they are asked
-    for, one per edge orbit. `has_copy` asks the search's compiled copy
-    kernel, so a missing matching is ruled out without trying every
-    partial matching."""
+    not minimal, and it is dropped before it is canonicalized. A grown
+    graph g is member-free (a member arrows, so it is not grown), so a
+    member in an extension g + e has at most e(g) + 1 edges, and one with
+    exactly e(g) + 1 edges makes g + e a copy of itself, whose class was
+    already emitted, so the canonical-deletion check rejects it. Each
+    extension is therefore checked against the members with at most e(g)
+    edges only. `has_copy` asks the search's compiled copy kernel, so a
+    missing matching is ruled out without trying every partial matching."""
     check_targets(G, H)
     budget = bounds.node_budget
     members: List[CatalogMember] = []
-    deletions: Dict[int, List[Graph]] = {}  # member index -> `_deletions`, once asked for
     complete = True
     closed = set()  # yielded graphs that arrow; by value, as Graph hashes (n, adj)
-
-    def is_near(g: Graph, i: int) -> bool:
-        if i not in deletions:
-            deletions[i] = _deletions(members[i].graph)
-        return has_copy(g, *deletions[i])
 
     def grow(g: Graph) -> Growth:
         if g in closed:
             return False
-        near = [
-            m.graph for i, m in enumerate(members)
-            if m.graph.edge_count <= g.edge_count + 1 and is_near(g, i)
-        ]
-        if not near:
+        smaller = [m.graph for m in members if m.graph.edge_count <= g.edge_count]
+        if not smaller:
             return True
-        return lambda child: not has_copy(child, *near)
+        return lambda child: not has_copy(child, *smaller)
 
     for F in enumerate_graphs(bounds, grow=grow):
         report = is_ramsey_minimal(F, G, H, budget=budget)

@@ -104,7 +104,7 @@ class Graph:
         return out
 
     def has_edge(self, u: int, v: int) -> bool:
-        return 0 <= u < self.n and bool((self.adj[u] >> v) & 1)
+        return 0 <= u < self.n and v >= 0 and bool((self.adj[u] >> v) & 1)
 
     def degree(self, v: int) -> int:
         return self.adj[v].bit_count()

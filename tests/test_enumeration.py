@@ -1,4 +1,5 @@
 import hashlib
+import json
 import sys
 from itertools import combinations_with_replacement
 
@@ -7,7 +8,6 @@ import pytest
 from oracles import burnside_counts_by_edges, naive_classes_no_isolated_upto
 from ramseykit import arrowing, enumeration
 from ramseykit import (
-    Graph,
     MinimalCatalog,
     MinimalityReport,
     SearchBounds,
@@ -312,38 +312,28 @@ def test_pruned_catalog_matches_unpruned_reference(bounds):
     assert (limited > 0) == (bounds.node_budget == 5)
 
 
-def _one_edge_extensions(g):
-    """g plus each non-edge, each pendant edge and the fresh disjoint edge."""
-    n = g.n
-    out = [g.add_edge(u, v) for u in range(n) for v in range(u + 1, n) if not g.has_edge(u, v)]
-    for u in range(n):
-        out.append(Graph.from_edges(n + 1, g.edges() + [(u, n)]))
-    out.append(Graph.from_edges(n + 2, g.edges() + [(n, n + 1)]))
-    return out
+@pytest.mark.parametrize(
+    "pair,bounds",
+    [(("2K2", "2K2"), (8, 10)), (("P3", "2K2"), (9, 10)), (("K3", "2K2"), (7, 9)), (("3K2", "2K2"), (9, 11))],
+)
+def test_member_gate_runs_before_canon(monkeypatch, pair, bounds):
+    # an extension is tested against every member with fewer edges before it
+    # is canonicalized; one with as many edges is the member's own class,
+    # which canonical augmentation never emits twice
+    labeled = []
+    real = enumeration.canonical_form
 
+    def recording(g):
+        labeled.append(g)
+        return real(g)
 
-GATE_PATTERNS = ["3K2", "C5", "2K3", "C4", "K4", "P3+K2", "S3+K2"]
-
-
-def test_member_gate_is_a_necessary_condition():
-    # an extension of a graph free of M contains M only if the graph
-    # contains a one-edge deletion of M: the catalog looks for a member only
-    # in the extensions of graphs that pass this test
-    caught = 0
-    for name in GATE_PATTERNS:
-        M = b(name)
-        cuts = [M.delete_edge(u, v).without_isolated() for u, v in M.edges()]
-        # one deletion per edge orbit covers every deletion up to isomorphism
-        assert {certificate(d) for d in enumeration._deletions(M)} == {certificate(d) for d in cuts}
-        for g in enumerate_graphs(SearchBounds(6, 7)):
-            if contains_copy(g, M) is not None:
-                continue
-            near = any(contains_copy(g, d) is not None for d in cuts)
-            for child in _one_edge_extensions(g):
-                if contains_copy(child, M) is not None:
-                    caught += 1
-                    assert near, (name, emit_graph6(g), emit_graph6(child))
-    assert caught > 0
+    monkeypatch.setattr(enumeration, "canonical_form", recording)
+    cat = enumerate_ramsey_minimal(b(pair[0]), b(pair[1]), SearchBounds(*bounds))
+    members = cat.member_graphs()
+    assert members and labeled
+    for g in labeled:
+        smaller = [M for M in members if M.edge_count < g.edge_count]
+        assert all(contains_copy(g, M) is None for M in smaller), emit_graph6(g)
 
 
 @pytest.mark.parametrize(
@@ -415,3 +405,14 @@ def test_catalog_documents_are_pinned(question, want):
     G, H, max_v, max_e, budget = question
     bounds = SearchBounds(max_v, max_e, node_budget=budget)
     assert enumerate_ramsey_minimal(b(G), b(H), bounds).to_document() == want
+
+
+def test_star_forest_catalog_document_is_pinned():
+    # sha256 (first 16 hex digits) of the sorted-key JSON document, recorded
+    # while each extension was tested against the members that had a
+    # one-edge deletion in the graph it grew from
+    cat = enumerate_ramsey_minimal(b("S3"), b("S3+K2"), SearchBounds(9, 12))
+    assert len(cat.members) == 30
+    assert cat.completeness == "complete within bounds"
+    text = json.dumps(cat.to_document(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == "089c1721beb984e4"

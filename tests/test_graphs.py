@@ -75,6 +75,16 @@ def test_delete_edge_missing_edge_errors():
         build(Path(3)).delete_edge(0, 2)
 
 
+def test_has_edge_is_false_for_labels_outside_the_graph():
+    g = build(Path(3))
+    assert g.has_edge(0, 1) and g.has_edge(1, 0)
+    assert not g.has_edge(0, 2)
+    for u, v in ((0, -1), (-1, 0), (-1, -1), (0, 3), (3, 0), (1, 64)):
+        assert not g.has_edge(u, v), (u, v)
+    with pytest.raises(ValueError, match=r"\(0,-1\) is not an edge"):
+        g.delete_edge(0, -1)
+
+
 def test_delete_then_readd_restores_certificate():
     g = build_from_text("C5+S3")
     for u, v in g.edges():
