@@ -67,12 +67,11 @@ whose color is neither red nor blue, makes the coloring not total, so
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
 from .canon import are_isomorphic
-from .graphs import DEFAULT_VERTEX_CAP, Graph, VertexCapError, check_targets
+from .graphs import DEFAULT_VERTEX_CAP, Graph, Record, VertexCapError, check_targets
 
 RED = "red"
 BLUE = "blue"
@@ -382,8 +381,7 @@ def has_copy(host: Graph, *patterns: Graph) -> bool:
 # Colorings
 
 
-@dataclass(init=False, slots=True)
-class EdgeColoring:
+class EdgeColoring(Record):
     """Red/blue coloring of some edges of a host graph, held as the
     adjacency rows of its red and of its blue class; edges in neither are
     unassigned.
@@ -393,10 +391,7 @@ class EdgeColoring:
     neither RED nor BLUE, is kept in no class and only sets `stray`, which
     makes the coloring not total."""
 
-    host: Graph
-    red: tuple
-    blue: tuple
-    stray: bool
+    __slots__ = _fields = ("host", "red", "blue", "stray")
 
     def __init__(self, host: Graph, assignment: Optional[Dict[Tuple[int, int], str]] = None):
         red, blue = [0] * host.n, [0] * host.n
@@ -421,6 +416,13 @@ class EdgeColoring:
         coloring = object.__new__(cls)
         coloring.host, coloring.red, coloring.blue, coloring.stray = host, red, blue, False
         return coloring
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.host, self.red, self.blue, self.stray) == (
+                other.host, other.red, other.blue, other.stray
+            )
+        return NotImplemented
 
     def edge_colors(self):
         """(edge, color) of each colored edge (u, v), u < v, in
@@ -454,15 +456,25 @@ class EdgeColoring:
         )
 
 
-@dataclass(slots=True)
-class ArrowVerdict:
+class ArrowVerdict(Record):
     """Outcome of one arrowing search: a good coloring (arrows False), an
     exhausted search (arrows True), or unknown (arrows None, budget hit)."""
 
-    arrows: Optional[bool]
-    witness: Optional[EdgeColoring]  # the good coloring when arrows is False
-    nodes: int
-    elapsed: float
+    __slots__ = _fields = ("arrows", "witness", "nodes", "elapsed")
+
+    def __init__(self, arrows: Optional[bool], witness: Optional[EdgeColoring], nodes: int, elapsed: float):
+        # witness: the good coloring when arrows is False
+        self.arrows = arrows
+        self.witness = witness
+        self.nodes = nodes
+        self.elapsed = elapsed
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.arrows, self.witness, self.nodes, self.elapsed) == (
+                other.arrows, other.witness, other.nodes, other.elapsed
+            )
+        return NotImplemented
 
     # perfbench/tracing.py:141 reads the search result under these names
     @property
@@ -663,11 +675,16 @@ def naive_arrows(F: Graph, G: Graph, H: Graph) -> bool:
     return True
 
 
-@dataclass
-class MinimalityReport:
-    is_ramsey: Optional[bool]
-    edge_verdicts: Dict[Tuple[int, int], ArrowVerdict]  # the search of F - e, per edge
-    is_minimal: Optional[bool]
+class MinimalityReport(Record):
+    _fields = ("is_ramsey", "edge_verdicts", "is_minimal")
+
+    def __init__(
+        self,
+        is_ramsey: Optional[bool],
+        edge_verdicts: Dict[Tuple[int, int], ArrowVerdict],  # the search of F - e, per edge
+        is_minimal: Optional[bool],
+    ):
+        self.is_ramsey, self.edge_verdicts, self.is_minimal = is_ramsey, edge_verdicts, is_minimal
 
     @property
     def per_edge(self) -> Dict[Tuple[int, int], Optional[EdgeColoring]]:

@@ -54,17 +54,30 @@ automorphism groups.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
-from .graphs import Graph
+from .graphs import FrozenRecord, Graph
 
 
-@dataclass(frozen=True)
-class CanonicalForm:
-    certificate: bytes
-    permutation: tuple  # old label -> new label
-    automorphisms: tuple  # generators of Aut, each new label -> new label
+class CanonicalForm(FrozenRecord):
+    _fields = ("certificate", "permutation", "automorphisms")
+
+    def __init__(self, certificate: bytes, permutation: tuple, automorphisms: tuple):
+        # permutation: old label -> new label; automorphisms: generators of
+        # Aut, each new label -> new label
+        object.__setattr__(self, "certificate", certificate)
+        object.__setattr__(self, "permutation", permutation)
+        object.__setattr__(self, "automorphisms", automorphisms)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.certificate, self.permutation, self.automorphisms) == (
+                other.certificate, other.permutation, other.automorphisms
+            )
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.certificate, self.permutation, self.automorphisms))
 
 
 def _refine(adj, cells):

@@ -11,10 +11,9 @@ guesses it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
-from .graphs import Graph, Matching, build, check_targets, components
+from .graphs import FrozenRecord, Graph, Matching, build, check_targets, components
 
 FINITE = "Finite"
 INFINITE = "Infinite"
@@ -32,31 +31,37 @@ CITATIONS = {
 }
 
 
-@dataclass(frozen=True)
-class StarForestShape:
+class StarForestShape(FrozenRecord):
     """Star sizes >= 2 in descending order plus the count of single-edge
     components (the matching part)."""
 
-    stars: tuple
-    matching_count: int
+    _fields = ("stars", "matching_count")
+
+    def __init__(self, stars: tuple, matching_count: int):
+        object.__setattr__(self, "stars", stars)
+        object.__setattr__(self, "matching_count", matching_count)
 
     @property
     def s(self) -> int:
         return len(self.stars)
 
 
-@dataclass(frozen=True)
-class TrailEntry:
-    rule: str
-    citation: str
-    reason: str
+class TrailEntry(FrozenRecord):
+    _fields = ("rule", "citation", "reason")
+
+    def __init__(self, rule: str, citation: str, reason: str):
+        object.__setattr__(self, "rule", rule)
+        object.__setattr__(self, "citation", citation)
+        object.__setattr__(self, "reason", reason)
 
 
-@dataclass(frozen=True)
-class Classification:
-    verdict: str
-    trail: tuple
-    condition: Optional[str] = None
+class Classification(FrozenRecord):
+    _fields = ("verdict", "trail", "condition")
+
+    def __init__(self, verdict: str, trail: tuple, condition: Optional[str] = None):
+        object.__setattr__(self, "verdict", verdict)
+        object.__setattr__(self, "trail", trail)
+        object.__setattr__(self, "condition", condition)
 
     def to_document(self) -> dict:
         doc = {

@@ -26,14 +26,13 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from operator import itemgetter
 from typing import Optional, Tuple
 
-from .graphs import Graph
+from .graphs import FrozenRecord, Graph
 
 MAX_SUBSET_VERTICES = 24
 _LANE_BITS = 16  # an edge count is at most C(24, 2) = 276 < 2^15
@@ -42,24 +41,33 @@ _LOW_VERTICES = 10  # a chunk holds 2^10 lanes, 2 KB
 _ONES = tuple(int.from_bytes(b"\x01\x00" * (1 << j), "little") for j in range(_LOW_VERTICES + 1))
 
 
-@dataclass(frozen=True)
-class DensityValue:
-    value: Fraction
-    witness: tuple  # vertex subset achieving the maximum
+class DensityValue(FrozenRecord):
+    _fields = ("value", "witness")
+
+    def __init__(self, value: Fraction, witness: tuple):
+        # witness: vertex subset achieving the maximum
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "witness", witness)
 
 
-@dataclass(frozen=True)
-class PairDensity:
-    value: Fraction
-    witness: tuple  # subset of the larger-m2 graph
-    swapped: bool  # True if the roles of (G,H) were interchanged
+class PairDensity(FrozenRecord):
+    _fields = ("value", "witness", "swapped")
+
+    def __init__(self, value: Fraction, witness: tuple, swapped: bool):
+        # witness: subset of the larger-m2 graph; swapped: True if the roles
+        # of (G,H) were interchanged
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "swapped", swapped)
 
 
-@dataclass(frozen=True)
-class DensityReport:
-    rho: DensityValue
-    m2: Optional[DensityValue]
-    m2_pair: Optional[PairDensity]
+class DensityReport(FrozenRecord):
+    _fields = ("rho", "m2", "m2_pair")
+
+    def __init__(self, rho: DensityValue, m2: Optional[DensityValue], m2_pair: Optional[PairDensity]):
+        object.__setattr__(self, "rho", rho)
+        object.__setattr__(self, "m2", m2)
+        object.__setattr__(self, "m2_pair", m2_pair)
 
 
 def _check_size(X: Graph):

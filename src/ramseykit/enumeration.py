@@ -48,28 +48,27 @@ embeddings, so the drop loses no member either.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Iterator, List, Optional, Tuple, Union
 
 from .arrowing import DEFAULT_NODE_BUDGET, MinimalityReport, check_budget, has_copy, is_ramsey_minimal
 from .canon import CanonicalForm, canonical_form
 from .density import m2_pair, rho
 from .graph6 import emit_graph6
-from .graphs import DEFAULT_VERTEX_CAP, Graph, check_targets
+from .graphs import DEFAULT_VERTEX_CAP, FrozenRecord, Graph, Record, check_targets
 
 
-@dataclass(frozen=True)
-class SearchBounds:
-    max_vertices: int
-    max_edges: int
-    node_budget: int = DEFAULT_NODE_BUDGET
+class SearchBounds(FrozenRecord):
+    _fields = ("max_vertices", "max_edges", "node_budget")
 
-    def __post_init__(self):
-        if self.max_vertices < 0 or self.max_edges < 0:
+    def __init__(self, max_vertices: int, max_edges: int, node_budget: int = DEFAULT_NODE_BUDGET):
+        if max_vertices < 0 or max_edges < 0:
             raise ValueError("bounds must be nonnegative")
-        if self.max_vertices > DEFAULT_VERTEX_CAP:
+        if max_vertices > DEFAULT_VERTEX_CAP:
             raise ValueError(f"max_vertices exceeds vertex cap {DEFAULT_VERTEX_CAP}")
-        check_budget(self.node_budget)
+        check_budget(node_budget)
+        object.__setattr__(self, "max_vertices", max_vertices)
+        object.__setattr__(self, "max_edges", max_edges)
+        object.__setattr__(self, "node_budget", node_budget)
 
 
 def _close(item, image, gens, seen: set) -> None:
@@ -223,10 +222,11 @@ def enumerate_graphs(
         level = nxt
 
 
-@dataclass
-class CatalogMember:
-    graph: Graph
-    minimality: MinimalityReport
+class CatalogMember(Record):
+    _fields = ("graph", "minimality")
+
+    def __init__(self, graph: Graph, minimality: MinimalityReport):
+        self.graph, self.minimality = graph, minimality
 
     def digest(self) -> dict:
         return {
@@ -239,12 +239,17 @@ class CatalogMember:
         }
 
 
-@dataclass
-class MinimalCatalog:
-    pair: Tuple[Graph, Graph]
-    bounds: SearchBounds
-    members: List[CatalogMember]
-    complete: bool  # False when some candidate's minimality stayed unknown
+class MinimalCatalog(Record):
+    _fields = ("pair", "bounds", "members", "complete")
+
+    def __init__(
+        self,
+        pair: Tuple[Graph, Graph],
+        bounds: SearchBounds,
+        members: List[CatalogMember],
+        complete: bool,  # False when some candidate's minimality stayed unknown
+    ):
+        self.pair, self.bounds, self.members, self.complete = pair, bounds, members, complete
 
     @property
     def completeness(self) -> str:
@@ -313,17 +318,18 @@ def enumerate_ramsey_minimal(G: Graph, H: Graph, bounds: SearchBounds) -> Minima
     return MinimalCatalog((G, H), bounds, members, complete)
 
 
-@dataclass
-class DensityAuditEntry:
-    graph: Graph
-    rho_value: object  # Fraction
-    passed: bool
+class DensityAuditEntry(Record):
+    _fields = ("graph", "rho_value", "passed")
+
+    def __init__(self, graph: Graph, rho_value: object, passed: bool):  # rho_value: a Fraction
+        self.graph, self.rho_value, self.passed = graph, rho_value, passed
 
 
-@dataclass
-class DensityAuditReport:
-    threshold: object  # Fraction, the pair density
-    entries: List[DensityAuditEntry]
+class DensityAuditReport(Record):
+    _fields = ("threshold", "entries")
+
+    def __init__(self, threshold: object, entries: List[DensityAuditEntry]):  # threshold: the pair density
+        self.threshold, self.entries = threshold, entries
 
     @property
     def all_pass(self) -> bool:

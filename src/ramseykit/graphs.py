@@ -13,7 +13,6 @@ target contract: at least one edge and no isolated vertex.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Union
 
@@ -32,30 +31,87 @@ def check_vertex_count(n: int) -> None:
         raise VertexCapError(f"{n} vertices is over the limit of {MAX_VERTICES}")
 
 
-@dataclass(frozen=True)
-class Graph:
-    """Finite simple graph; no self-loops, symmetric adjacency."""
+class Record:
+    """Base of ramseykit's value types. A subclass names its fields in
+    `_fields`, sets them in its own `__init__`, and compares equal to a
+    record of the same type with equal fields. A Record is mutable and
+    unhashable; see FrozenRecord for the immutable kind.
 
-    n: int
-    adj: tuple
+    Plain methods, rather than `dataclasses`, so that defining a record
+    generates and compiles no code at import."""
 
-    def __post_init__(self):
-        check_vertex_count(self.n)
-        if len(self.adj) != self.n:
+    __slots__ = ()
+    _fields: tuple = ()
+    __hash__ = None
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class FrozenRecord(Record):
+    """A Record whose fields are set once, by `object.__setattr__` in
+    `__init__`, and that hashes as the tuple of its fields. (Writing to
+    the instance `__dict__` instead would make every instance carry a
+    materialized dict, about 150 bytes more.)"""
+
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Graph(FrozenRecord):
+    """Finite simple graph; no self-loops, symmetric adjacency.
+
+    `Graph(n, adj)` validates its rows; `adj` may be any sequence of row
+    bitsets and is held as a tuple. `_trusted` skips the validation."""
+
+    _fields = ("n", "adj")
+
+    def __init__(self, n: int, adj):
+        check_vertex_count(n)
+        adj = tuple(adj)
+        if len(adj) != n:
             raise ValueError("adjacency must have one row per vertex")
-        full = (1 << self.n) - 1 if self.n else 0
-        for v, row in enumerate(self.adj):
+        full = (1 << n) - 1 if n else 0
+        for v, row in enumerate(adj):
             if row & ~full:
-                raise ValueError(f"row {v} mentions a vertex >= {self.n}")
+                raise ValueError(f"row {v} mentions a vertex >= {n}")
             if (row >> v) & 1:
                 raise ValueError(f"self-loop at vertex {v}")
-        for u in range(self.n):
-            row = self.adj[u]
+        for u in range(n):
+            row = adj[u]
             while row:
                 v = (row & -row).bit_length() - 1
                 row &= row - 1
-                if not (self.adj[v] >> u) & 1:
+                if not (adj[v] >> u) & 1:
                     raise ValueError(f"adjacency not symmetric at ({u},{v})")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "adj", adj)
+
+    # hashed on every `arrows` call (the copy-plan cache), so spelt out
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.n == other.n and self.adj == other.adj
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.adj))
 
     @classmethod
     def _trusted(cls, n: int, adj: tuple) -> "Graph":
@@ -230,11 +286,14 @@ def check_targets(G: Graph, H: Graph) -> None:
 # Component classification
 
 
-@dataclass(frozen=True)
-class ComponentInfo:
-    kind: str  # "isolated" | "K2" | "star" | "tree" | "cyclic"
-    star_size: Optional[int] = None
-    odd: Optional[bool] = None
+class ComponentInfo(FrozenRecord):
+    _fields = ("kind", "star_size", "odd")
+
+    def __init__(self, kind: str, star_size: Optional[int] = None, odd: Optional[bool] = None):
+        # kind: "isolated" | "K2" | "star" | "tree" | "cyclic"
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "star_size", star_size)
+        object.__setattr__(self, "odd", odd)
 
 
 def components(g: Graph) -> list:
@@ -267,34 +326,46 @@ def components(g: Graph) -> list:
 # Graph expressions: S(r), jK2, P(n), C(n), K(n), disjoint unions
 
 
-@dataclass(frozen=True)
-class Star:
-    r: int
+class Star(FrozenRecord):
+    _fields = ("r",)
+
+    def __init__(self, r: int):
+        object.__setattr__(self, "r", r)
 
 
-@dataclass(frozen=True)
-class Matching:
-    j: int
+class Matching(FrozenRecord):
+    _fields = ("j",)
+
+    def __init__(self, j: int):
+        object.__setattr__(self, "j", j)
 
 
-@dataclass(frozen=True)
-class Path:
-    n: int
+class Path(FrozenRecord):
+    _fields = ("n",)
+
+    def __init__(self, n: int):
+        object.__setattr__(self, "n", n)
 
 
-@dataclass(frozen=True)
-class Cycle:
-    n: int
+class Cycle(FrozenRecord):
+    _fields = ("n",)
+
+    def __init__(self, n: int):
+        object.__setattr__(self, "n", n)
 
 
-@dataclass(frozen=True)
-class Complete:
-    n: int
+class Complete(FrozenRecord):
+    _fields = ("n",)
+
+    def __init__(self, n: int):
+        object.__setattr__(self, "n", n)
 
 
-@dataclass(frozen=True)
-class DisjointUnion:
-    parts: tuple
+class DisjointUnion(FrozenRecord):
+    _fields = ("parts",)
+
+    def __init__(self, parts: tuple):
+        object.__setattr__(self, "parts", parts)
 
 
 GraphSpec = Union[Star, Matching, Path, Cycle, Complete, DisjointUnion]

@@ -14,62 +14,76 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from io import StringIO
 from typing import List, Sequence
 
 from .arrowing import DEFAULT_NODE_BUDGET, arrows, check_budget
 from .density import _edge_probability, m2_pair
-from .graphs import Graph, check_targets, check_vertex_count
+from .graphs import FrozenRecord, Graph, Record, check_targets, check_vertex_count
 
 DEFAULT_MAX_N = 24
 DEFAULT_MAX_SAMPLES = 1000
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    G: Graph
-    H: Graph
-    n_values: tuple
-    c_values: tuple  # positive rationals (Fraction-convertible)
-    samples: int
-    seed: int
-    node_budget: int = DEFAULT_NODE_BUDGET
+class ExperimentConfig(FrozenRecord):
+    _fields = ("G", "H", "n_values", "c_values", "samples", "seed", "node_budget")
 
-    def __post_init__(self):
-        check_targets(self.G, self.H)
-        check_budget(self.node_budget)
-        if self.samples < 1:
+    def __init__(
+        self,
+        G: Graph,
+        H: Graph,
+        n_values: tuple,
+        c_values: tuple,  # positive rationals (Fraction-convertible)
+        samples: int,
+        seed: int,
+        node_budget: int = DEFAULT_NODE_BUDGET,
+    ):
+        check_targets(G, H)
+        check_budget(node_budget)
+        if samples < 1:
             raise ValueError("samples must be at least 1")
-        if self.samples > DEFAULT_MAX_SAMPLES:
+        if samples > DEFAULT_MAX_SAMPLES:
             raise ValueError(f"samples capped at {DEFAULT_MAX_SAMPLES}")
-        low = max(self.G.n, self.H.n)
-        for n in self.n_values:
+        low = max(G.n, H.n)
+        for n in n_values:
             if n < low:
                 raise ValueError(f"n={n} is below the larger target order {low}")
             if n > DEFAULT_MAX_N:
                 raise ValueError(f"n={n} exceeds the desk-scale cap {DEFAULT_MAX_N}")
-        for c in self.c_values:
+        for c in c_values:
             if Fraction(c) <= 0:
                 raise ValueError("c values must be positive")
             try:
                 float(Fraction(c))
             except OverflowError:
                 raise ValueError("c values must have a finite float value (below 2^1024)") from None
+        object.__setattr__(self, "G", G)
+        object.__setattr__(self, "H", H)
+        object.__setattr__(self, "n_values", n_values)
+        object.__setattr__(self, "c_values", c_values)
+        object.__setattr__(self, "samples", samples)
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "node_budget", node_budget)
 
 
-@dataclass
-class CellResult:
-    n: int
-    c: float
-    p: float
-    samples: int
-    hits: int
-    misses: int
-    unknowns: int
-    elapsed: float
-    outcomes: tuple  # per-sample True / False / None, index-aligned
+class CellResult(Record):
+    _fields = ("n", "c", "p", "samples", "hits", "misses", "unknowns", "elapsed", "outcomes")
+
+    def __init__(
+        self,
+        n: int,
+        c: float,
+        p: float,
+        samples: int,
+        hits: int,
+        misses: int,
+        unknowns: int,
+        elapsed: float,
+        outcomes: tuple,  # per-sample True / False / None, index-aligned
+    ):
+        self.n, self.c, self.p, self.samples, self.hits = n, c, p, samples, hits
+        self.misses, self.unknowns, self.elapsed, self.outcomes = misses, unknowns, elapsed, outcomes
 
     @property
     def estimate(self) -> float:

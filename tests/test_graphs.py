@@ -13,6 +13,7 @@ from ramseykit import (
     Path,
     SearchBounds,
     Star,
+    arrows,
     build,
     build_from_text,
     certificate,
@@ -247,3 +248,11 @@ def test_derived_graphs_equal_validated_ones():
     ):
         assert derived == Graph(derived.n, derived.adj)
         assert hash(derived) == hash(Graph(derived.n, derived.adj))
+
+
+def test_graph_given_a_list_of_rows_holds_a_tuple():
+    g = Graph(3, [6, 5, 3])
+    assert g.adj == (6, 5, 3)
+    assert g == build_from_text("K3") and hash(g) == hash(build_from_text("K3"))
+    assert certificate(g) == certificate(build_from_text("K3"))
+    assert arrows(build_from_text("K6"), g, build_from_text("K3")).arrows is True
