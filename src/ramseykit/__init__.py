@@ -32,7 +32,6 @@ from .graphs import (
     Star,
     build,
     build_from_text,
-    components,
     parse_spec,
 )
 from .randomgraphs import ExperimentConfig, run_experiment, results_to_csv, sample_gnp

@@ -417,13 +417,6 @@ class EdgeColoring(Record):
         coloring.host, coloring.red, coloring.blue, coloring.stray = host, red, blue, False
         return coloring
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.host, self.red, self.blue, self.stray) == (
-                other.host, other.red, other.blue, other.stray
-            )
-        return NotImplemented
-
     def edge_colors(self):
         """(edge, color) of each colored edge (u, v), u < v, in
         lexicographic order."""
@@ -468,13 +461,6 @@ class ArrowVerdict(Record):
         self.witness = witness
         self.nodes = nodes
         self.elapsed = elapsed
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.arrows, self.witness, self.nodes, self.elapsed) == (
-                other.arrows, other.witness, other.nodes, other.elapsed
-            )
-        return NotImplemented
 
     # perfbench/tracing.py:141 reads the search result under these names
     @property

@@ -69,16 +69,6 @@ class CanonicalForm(FrozenRecord):
         object.__setattr__(self, "permutation", permutation)
         object.__setattr__(self, "automorphisms", automorphisms)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.certificate, self.permutation, self.automorphisms) == (
-                other.certificate, other.permutation, other.automorphisms
-            )
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.certificate, self.permutation, self.automorphisms))
-
 
 def _refine(adj, cells):
     """Refine an ordered partition to equitability (neighbor counts into

@@ -1,19 +1,22 @@
 """Ramsey-finite vs Ramsey-infinite classification of a target pair.
 
-The verdict is produced by a fixed decision tree over the structure of the
-two graphs: matchings first, then cyclic cases, then forests with non-star
-components, and finally the star-forest classification with its explicit
-sufficient bound. An Unknown verdict is first-class: in the star-forest
-case with two or more stars on one side, finiteness depends on a matching
-threshold that is not determined in general, and the classifier never
-guesses it.
+Each target is read once into a side: its star-forest shape (star sizes
+plus a matching count) or None, and whether it has a cycle. The verdict is
+a fixed decision tree over the two sides (`_decide`): matchings first, then
+cyclic cases, then forests with non-star components, and finally the
+star-forest classification with its explicit sufficient bound. Adjoining
+matchings only raises the matching counts, so a matching extension is
+decided on the sides alone, with no graph built. An Unknown verdict is
+first-class: in the star-forest case with two or more stars on one side,
+finiteness depends on a matching threshold that is not determined in
+general, and the classifier never guesses it.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from .graphs import FrozenRecord, Graph, Matching, build, check_targets, components
+from .graphs import FrozenRecord, Graph, check_targets
 
 FINITE = "Finite"
 INFINITE = "Infinite"
@@ -79,18 +82,28 @@ class Classification(FrozenRecord):
 
 
 def _shape_and_cycle(F: Graph):
-    """(star-forest shape or None, whether F has a cycle), from one
-    `components` pass."""
-    stars, matching, other = [], 0, set()
-    for info in components(F):
-        if info.kind == "K2":
+    """(star-forest shape or None, whether F has a cycle), read from each
+    component's vertex set and F's degrees, with no subgraph built. A
+    component has half its degree sum in edges. With no edge it is a bare
+    vertex, which no star forest has; with one edge it is a K2; with at
+    least as many edges as vertices it has a cycle; otherwise it is a tree,
+    and a star iff its maximum degree equals its edge count."""
+    stars, matching, shaped, cyclic = [], 0, True, False
+    for vs in F.connected_components():
+        degrees = [F.adj[v].bit_count() for v in vs]
+        m = sum(degrees) // 2
+        if m == 0:
+            shaped = False
+        elif m == 1:
             matching += 1
-        elif info.kind == "star":
-            stars.append(info.star_size)
+        elif m >= len(vs):
+            shaped, cyclic = False, True
+        elif max(degrees) == m:
+            stars.append(m)
         else:
-            other.add(info.kind)
-    shape = None if other else StarForestShape(tuple(sorted(stars, reverse=True)), matching)
-    return shape, "cyclic" in other
+            shaped = False
+    shape = StarForestShape(tuple(sorted(stars, reverse=True)), matching) if shaped else None
+    return shape, cyclic
 
 
 def shape_of(F: Graph) -> Optional[StarForestShape]:
@@ -111,8 +124,13 @@ def classify(G: Graph, H: Graph) -> Classification:
     """Apply the decision rules R1..R8 in order; the trail records the
     decisive rule with its citation."""
     check_targets(G, H)
-    shape_g, g_cyclic = _shape_and_cycle(G)
-    shape_h, h_cyclic = _shape_and_cycle(H)
+    return _decide(_shape_and_cycle(G), _shape_and_cycle(H))
+
+
+def _decide(side_g, side_h) -> Classification:
+    """The rules R1..R8 on two sides, each a (shape or None, cyclic) pair
+    as `_shape_and_cycle` gives it."""
+    (shape_g, g_cyclic), (shape_h, h_cyclic) = side_g, side_h
 
     # R1: one side is a matching
     if _is_matching(shape_g) or _is_matching(shape_h):
@@ -177,15 +195,26 @@ class ConsistencyError(RuntimeError):
     which contradicts the decision rules' own guarantees."""
 
 
+def _adjoin_matching(side, j: int):
+    """The side of F + j*K2 from the side of F: j more matching edges on a
+    shape, no shape stays None, and a K2 adds no cycle."""
+    shape, cyclic = side
+    if shape is not None:
+        shape = StarForestShape(shape.stars, shape.matching_count + j)
+    return shape, cyclic
+
+
 def matching_extension_check(G: Graph, H: Graph, ell: int, m: int) -> Classification:
     """Classify (G + ell*K2, H + m*K2) given that (G,H) is Finite; a hard
-    Infinite verdict here is a self-consistency failure."""
-    base = classify(G, H)
-    if base.verdict != FINITE:
+    Infinite verdict here is a self-consistency failure. Decided on the
+    sides of G and H, so the extension has no vertex cap."""
+    check_targets(G, H)
+    side_g, side_h = _shape_and_cycle(G), _shape_and_cycle(H)
+    if _decide(side_g, side_h).verdict != FINITE:
         raise ValueError("matching_extension_check requires a Finite base pair")
-    G2 = G.disjoint_union(build(Matching(ell)))
-    H2 = H.disjoint_union(build(Matching(m)))
-    result = classify(G2, H2)
+    if ell < 0 or m < 0:
+        raise ValueError("matching needs j >= 0")
+    result = _decide(_adjoin_matching(side_g, ell), _adjoin_matching(side_h, m))
     if result.verdict == INFINITE:
         raise ConsistencyError(
             f"extension by ({ell},{m}) matchings of a Finite pair classified Infinite"

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import re
 from functools import cached_property
-from typing import Optional, Union
+from typing import Union
 
 MAX_VERTICES = 1024
 DEFAULT_VERTEX_CAP = 64
@@ -163,6 +163,8 @@ class Graph(FrozenRecord):
         return 0 <= u < self.n and v >= 0 and bool((self.adj[u] >> v) & 1)
 
     def degree(self, v: int) -> int:
+        if not 0 <= v < self.n:
+            raise ValueError(f"vertex {v} is not in 0..{self.n - 1}")
         return self.adj[v].bit_count()
 
     def add_edge(self, u: int, v: int) -> "Graph":
@@ -280,46 +282,6 @@ def check_targets(G: Graph, H: Graph) -> None:
         return
     name = "first" if G.n == 0 or 0 in G.adj else "second"
     raise ValueError(f"{name} target needs an edge and no isolated vertex")
-
-
-# ---------------------------------------------------------------------------
-# Component classification
-
-
-class ComponentInfo(FrozenRecord):
-    _fields = ("kind", "star_size", "odd")
-
-    def __init__(self, kind: str, star_size: Optional[int] = None, odd: Optional[bool] = None):
-        # kind: "isolated" | "K2" | "star" | "tree" | "cyclic"
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "star_size", star_size)
-        object.__setattr__(self, "odd", odd)
-
-
-def components(g: Graph) -> list:
-    """Tag each connected component of g, in `connected_components` order,
-    as K2 / star (r>=2) / non-star tree / cyclic, or a bare vertex as
-    "isolated"; the kinds are exhaustive and mutually exclusive.
-
-    Read from each vertex set and g's degrees, with no subgraph built: a
-    component has half its degree sum in edges, and an acyclic one with at
-    least two edges is a star iff its maximum degree equals its edge count.
-    """
-    out = []
-    for vs in g.connected_components():
-        degrees = [g.adj[v].bit_count() for v in vs]
-        m = sum(degrees) // 2
-        if m == 0:
-            out.append(ComponentInfo("isolated"))
-        elif m == 1:
-            out.append(ComponentInfo("K2"))
-        elif m >= len(vs):
-            out.append(ComponentInfo("cyclic"))
-        elif max(degrees) == m:
-            out.append(ComponentInfo("star", star_size=m, odd=bool(m % 2)))
-        else:
-            out.append(ComponentInfo("tree"))
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -122,6 +122,7 @@ def sample_gnp(n: int, p: float, seed: int = 0, sample_index: int = 0) -> Graph:
     probability p, reproducible from (seed, n, sample_index)."""
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0,1]")
+    check_vertex_count(n)  # before drawing the n(n-1)/2 uniforms
     return graph_from_uniforms(n, p, edge_uniforms(seed, n, sample_index))
 
 

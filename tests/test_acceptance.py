@@ -16,7 +16,6 @@ from ramseykit import (
     catalog_density_audit,
     certificate,
     classify,
-    components,
     contains_copy,
     enumerate_graphs,
     enumerate_ramsey_minimal,

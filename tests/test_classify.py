@@ -5,7 +5,6 @@ import pytest
 
 from ramseykit import (
     Graph,
-    components,
     build_from_text,
     classify,
     matching_extension_check,
@@ -102,7 +101,9 @@ def test_one_sided_theorem_consistency():
     comps = ["S2", "S3", "S5", "P4", "K3", "C4", "S3+S3", "S5+S2"]
     for gname, hname in product(comps, repeat=2):
         G, H = b(gname), b(hname)
-        has_k2 = any(c.kind == "K2" for g in (G, H) for c in components(g))
+        has_k2 = any(
+            g.induced(vs).edge_count == 1 for g in (G, H) for vs in g.connected_components()
+        )
         sg, sh = shape_of(G), shape_of(H)
         both_odd_stars = (
             sg is not None
@@ -139,6 +140,36 @@ def test_matching_extension_examples():
     assert r.verdict == FINITE
     r = matching_extension_check(b("S3"), b("S3"), 0, 7)
     assert r.verdict == FINITE
+
+
+def test_matching_extension_agrees_with_classify_on_the_built_extension():
+    # the extension is decided on shapes; classify sees the built graphs.
+    # Equal classifications have equal verdict, rule, reason and condition.
+    pairs = 0
+    for G, H in product([b(t) for t in CENSUS_TARGETS], repeat=2):
+        if classify(G, H).verdict != FINITE:
+            continue
+        pairs += 1
+        for ell, m in product(range(4), repeat=2):
+            want = classify(G.disjoint_union(b(f"{ell}K2")), H.disjoint_union(b(f"{m}K2")))
+            assert matching_extension_check(G, H, ell, m) == want, (G.edges(), H.edges(), ell, m)
+    assert pairs == 168
+
+
+def test_matching_extension_past_the_vertex_cap_is_decided():
+    G, H = b("S5+S2"), b("S3+122K2")
+    r = matching_extension_check(G, H, 0, 2000)
+    assert (r.verdict, r.trail[-1].rule) == (FINITE, "R7")
+    assert "2122 matching edges" in r.trail[-1].reason
+    r = matching_extension_check(G, H, 1, 0)
+    assert (r.verdict, r.trail[-1].rule) == (UNKNOWN, "R8")
+    assert r == classify(b("S5+S2+K2"), H)
+
+
+def test_matching_extension_rejects_negative_counts():
+    for ell, m in ((-1, 0), (0, -1)):
+        with pytest.raises(ValueError, match="matching needs j >= 0"):
+            matching_extension_check(b("S3"), b("S3"), ell, m)
 
 
 def test_matching_extension_requires_finite_base():

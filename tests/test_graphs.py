@@ -17,11 +17,11 @@ from ramseykit import (
     build,
     build_from_text,
     certificate,
-    components,
     contains_copy,
     enumerate_graphs,
     parse_spec,
 )
+from ramseykit.classify import StarForestShape, _shape_and_cycle
 from ramseykit.graphs import VertexCapError
 
 
@@ -93,42 +93,35 @@ def test_delete_then_readd_restores_certificate():
 
 
 def test_components_star_and_matching():
-    g = build_from_text("S3+2K2")
-    kinds = sorted((c.kind, c.star_size, c.odd) for c in components(g))
-    assert kinds == [("K2", None, None), ("K2", None, None), ("star", 3, True)]
+    assert _shape_and_cycle(build_from_text("S3+2K2")) == (StarForestShape((3,), 2), False)
 
 
 def test_components_path_is_nonstar_tree():
-    (info,) = components(build(Path(4)))
-    assert info.kind == "tree"
+    assert _shape_and_cycle(build(Path(4))) == (None, False)
 
 
 def test_components_cycle_and_even_star():
-    g = build_from_text("K3+S2")
-    kinds = [(c.kind, c.star_size, c.odd) for c in components(g)]
-    assert ("cyclic", None, None) in kinds
-    assert ("star", 2, False) in kinds
+    assert _shape_and_cycle(build_from_text("K3+S2")) == (None, True)
+    assert _shape_and_cycle(build_from_text("S2+K3")) == (None, True)
+    assert _shape_and_cycle(build_from_text("S2")) == (StarForestShape((2,), 0), False)
 
 
 def test_components_recover_spec_primitives():
-    g = build_from_text("S5+S2+3K2")
-    infos = components(g)
-    assert sum(1 for c in infos if c.kind == "K2") == 3
-    assert sorted(c.star_size for c in infos if c.kind == "star") == [2, 5]
+    assert _shape_and_cycle(build_from_text("S5+S2+3K2")) == (StarForestShape((5, 2), 3), False)
 
 
 def _kind_of_induced(c):
     # the definition, on the component built as a graph of its own
     m = c.edge_count
     if m == 0:
-        return ("isolated", None, None)
+        return ("isolated", None)
     if m == 1:
-        return ("K2", None, None)
+        return ("K2", None)
     if m >= c.n:
-        return ("cyclic", None, None)
+        return ("cyclic", None)
     if max(c.degree(v) for v in range(c.n)) == m:
-        return ("star", m, bool(m % 2))
-    return ("tree", None, None)
+        return ("star", m)
+    return ("tree", None)
 
 
 def test_components_match_the_induced_definition():
@@ -136,8 +129,22 @@ def test_components_match_the_induced_definition():
     for g in enumerate_graphs(SearchBounds(7, 7)):
         hosts += [g, g.disjoint_union(Graph.empty(2)), Graph.empty(1).disjoint_union(g)]
     for g in hosts:
-        want = [_kind_of_induced(g.induced(vs)) for vs in g.connected_components()]
-        assert [(c.kind, c.star_size, c.odd) for c in components(g)] == want
+        kinds = [_kind_of_induced(g.induced(vs)) for vs in g.connected_components()]
+        stars = sorted((size for kind, size in kinds if kind == "star"), reverse=True)
+        matching = sum(1 for kind, _ in kinds if kind == "K2")
+        shaped = all(kind in ("K2", "star") for kind, _ in kinds)
+        want = (StarForestShape(tuple(stars), matching) if shaped else None, ("cyclic", None) in kinds)
+        assert _shape_and_cycle(g) == want, g.edges()
+
+
+def test_degree_rejects_labels_outside_the_graph():
+    g = build(Star(3))
+    assert [g.degree(v) for v in range(4)] == [3, 1, 1, 1]
+    for v in (-1, 4, 64):
+        with pytest.raises(ValueError, match=r"0\.\.3"):
+            g.degree(v)
+    with pytest.raises(ValueError):
+        Graph.empty(0).degree(0)
 
 
 def test_parse_spec_forms():

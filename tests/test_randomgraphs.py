@@ -1,6 +1,8 @@
 import pytest
 
 from ramseykit import ExperimentConfig, Graph, build_from_text, results_to_csv, run_experiment, sample_gnp
+from ramseykit import randomgraphs
+from ramseykit.graphs import VertexCapError
 from ramseykit.randomgraphs import edge_uniforms, graph_from_uniforms
 
 b = build_from_text
@@ -15,6 +17,20 @@ def test_p_zero_and_one():
 def test_p_out_of_range():
     with pytest.raises(ValueError):
         sample_gnp(8, 1.5)
+
+
+def test_vertex_cap_is_checked_before_any_uniform_is_drawn(monkeypatch):
+    def no_draws(seed, n, sample_index):
+        raise AssertionError(f"drew the uniforms of n = {n}")
+
+    # drawing 10^9 vertices' uniforms would not finish; the cap answers at once
+    monkeypatch.setattr(randomgraphs, "edge_uniforms", no_draws)
+    with pytest.raises(VertexCapError):
+        sample_gnp(10**9, 0.5)
+    with pytest.raises(VertexCapError):
+        sample_gnp(1025, 0.5)
+    with pytest.raises(ValueError, match="nonnegative"):
+        sample_gnp(-1, 0.5)
 
 
 def test_edge_count_mean_matches_binomial():

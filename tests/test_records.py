@@ -1,4 +1,4 @@
-"""The record contract of ramseykit's 25 value types: constructor forms and
+"""The record contract of ramseykit's 24 value types: constructor forms and
 defaults, constructor checks, value equality, hashing and immutability of
 the frozen types, and pickle / deepcopy round trips."""
 
@@ -51,7 +51,6 @@ CASES = [
     (enumeration.DensityAuditEntry, (C5, Fraction(1), False), ("graph", "rho_value", "passed"), {}, False),
     (enumeration.DensityAuditReport, (Fraction(1), [AUDIT_ENTRY]), ("threshold", "entries"), {}, False),
     (graphs.Graph, (3, (6, 5, 3)), ("n", "adj"), {}, True),
-    (graphs.ComponentInfo, ("star", 3, True), ("kind", "star_size", "odd"), {"star_size": None, "odd": None}, True),
     (graphs.Star, (3,), ("r",), {}, True),
     (graphs.Matching, (3,), ("j",), {}, True),
     (graphs.Path, (4,), ("n",), {}, True),
@@ -82,7 +81,6 @@ OTHER = {
     enumeration.DensityAuditEntry: (C5, Fraction(1), True),
     enumeration.DensityAuditReport: (Fraction(2), [AUDIT_ENTRY]),
     graphs.Graph: (3, (2, 5, 2)),
-    graphs.ComponentInfo: ("star", 4, False),
     graphs.Star: (4,),
     graphs.Matching: (4,),
     graphs.Path: (5,),
@@ -97,9 +95,9 @@ IDS = [case[0].__name__ for case in CASES]
 
 
 def test_every_record_type_is_covered():
-    assert len(CASES) == 25 and len(set(IDS)) == 25
+    assert len(CASES) == 24 and len(set(IDS)) == 24
     assert set(OTHER) == {case[0] for case in CASES}
-    assert sum(case[4] for case in CASES) == 17
+    assert sum(case[4] for case in CASES) == 16
 
 
 @pytest.mark.parametrize("cls,args,names,defaults,frozen", CASES, ids=IDS)
@@ -125,9 +123,6 @@ def test_constructor_calls_made_by_callers():
     assert enumeration.CatalogMember(C5, REPORT).graph == C5
     empty = arrowing.MinimalityReport(None, {}, None)
     assert (empty.is_ramsey, empty.edge_verdicts, empty.is_minimal, empty.per_edge) == (None, {}, None, {})
-    info = graphs.ComponentInfo("star", star_size=3, odd=True)
-    assert info == graphs.ComponentInfo("star", 3, True) != graphs.ComponentInfo("star")
-    assert graphs.ComponentInfo("K2") == graphs.ComponentInfo("K2", None, None)
     assert arrowing.EdgeColoring(K3) == arrowing.EdgeColoring(K3, {}) == arrowing.EdgeColoring(K3, None)
     assert graphs.Star(3) != graphs.Matching(3) and graphs.Path(4) != graphs.Cycle(4) != graphs.Complete(4)
 
