@@ -37,7 +37,9 @@ builds at its first copy. A coloring is good exactly when every G-copy has
 a blue edge and every H-copy has a red edge, so with no G-copy (H-copy)
 all red (blue) is good and no table is built. G and H have the same
 copies in every host exactly when they are isomorphic; then H's copies
-are not listed again.
+are not listed again. G is isomorphic to H exactly when G's kernel finds
+a copy of G in an H of the same order and size: neither has an isolated
+vertex, so such a copy uses every vertex and every edge of H.
 
 An explicit-stack search colors the lowest free edge red, then blue, with
 unit propagation: a G-copy with no blue edge and one uncolored edge left
@@ -70,7 +72,6 @@ import time
 from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
-from .canon import are_isomorphic
 from .graphs import DEFAULT_VERTEX_CAP, Graph, Record, VertexCapError, check_targets
 
 RED = "red"
@@ -573,8 +574,8 @@ def _search(F: Graph, G: Graph, H: Graph, budget: int):
         return False, _monochrome(F, BLUE), limit
     m = len(edges)
     # Targets without isolated vertices have the same copies in every host
-    # exactly when they are isomorphic.
-    swap = H == G or (G.n == H.n and G.edge_count == H.edge_count and are_isomorphic(G, H))
+    # exactly when they are isomorphic, which G's compiled kernel decides.
+    swap = H == G or (G.n == H.n and G.edge_count == H.edge_count and has_copy(H, G))
     if swap:
         h_through, h_live = g_through, g_live
     else:

@@ -49,12 +49,10 @@ one swap for each pair of consecutive isomorphic components, so
 
 Two graphs are isomorphic iff their certificates are equal; verified
 against brute-force permutation search in the test suite, as are the
-automorphism groups.
+automorphism groups. No memo is kept: each call labels its graph afresh.
 """
 
 from __future__ import annotations
-
-from functools import lru_cache
 
 from .graphs import FrozenRecord, Graph
 
@@ -252,9 +250,8 @@ def _canon_connected(n, adj):
     return best, best_perm, gens
 
 
-@lru_cache(maxsize=1 << 18)
-def _canon(n, adj):
-    g = Graph._trusted(n, adj)  # (n, adj) always comes from a valid Graph
+def _canon(g: Graph):
+    n = g.n
     comps = g.connected_components()
     canned = []
     for vs in comps:
@@ -289,15 +286,15 @@ def _canon(n, adj):
 
 
 def canonical_form(g: Graph) -> CanonicalForm:
-    return CanonicalForm(*_canon(g.n, g.adj))
+    return CanonicalForm(*_canon(g))
 
 
 def certificate(g: Graph) -> bytes:
-    return _canon(g.n, g.adj)[0]
+    return _canon(g)[0]
 
 
 def canonical_representative(g: Graph) -> Graph:
-    return g.relabel(_canon(g.n, g.adj)[1])
+    return g.relabel(_canon(g)[1])
 
 
 def are_isomorphic(g: Graph, h: Graph) -> bool:

@@ -98,6 +98,7 @@ class CellResult(Record):
 def edge_uniforms(seed: int, n: int, sample_index: int) -> List[float]:
     """One uniform per vertex pair, from a stream seeded by the cell
     coordinates alone (splittable: no shared state between cells)."""
+    check_vertex_count(n)  # before drawing the n(n-1)/2 uniforms
     rng = random.Random(f"ramseykit|{seed}|{n}|{sample_index}")
     return [rng.random() for _ in range(n * (n - 1) // 2)]
 

@@ -1,4 +1,5 @@
 import hashlib
+import random
 import time
 import tracemalloc
 from fractions import Fraction
@@ -25,6 +26,7 @@ from ramseykit import (
     sample_gnp,
     threshold_p,
 )
+from ramseykit import canon
 from ramseykit.arrowing import UnknownVerdictError, _above, _conditions, _copy_plan, _edge_order, _plan, has_copy
 from ramseykit.canon import are_isomorphic
 from ramseykit.graphs import VertexCapError
@@ -607,6 +609,35 @@ def test_swap_with_unequal_isomorphic_targets(name):
         v = arrows(F, G, H)
         assert v.arrows == naive_arrows(F, G, H), F.edges()
         assert v.nodes == arrows(F, G, G).nodes, F.edges()
+
+
+def test_kernel_isomorphism_agrees_with_canon(monkeypatch):
+    # the search decides G ~ H of equal order and size by G's kernel finding
+    # a copy of G in H; canon's certificates are the independent check
+    classes = list(enumerate_graphs(SearchBounds(6, 9)))
+    pairs = [(G, H) for G in classes for H in classes if (G.n, G.edge_count) == (H.n, H.edge_count)]
+    assert (len(classes), len(pairs)) == (122, 1702)
+    rng = random.Random(24)
+    for G in classes:
+        image = list(range(G.n))
+        rng.shuffle(image)
+        pairs.append((G, G.relabel(image)))
+    assert any(G != H for G, H in pairs[1702:])
+    for G, H in pairs:
+        assert has_copy(H, G) == are_isomorphic(G, H), (G.edges(), H.edges())
+
+    # and no arrowing search asks canon, for targets alike in order and size
+    hosts = list(enumerate_graphs(SearchBounds(6, 8)))
+    paw = Graph.from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
+    target_pairs = [(b("P4"), b("S3")), (b("C4"), paw)]
+
+    def no_canon(*args):
+        raise AssertionError("the search called canon")
+
+    monkeypatch.setattr(canon, "_canon", no_canon)
+    for G, H in target_pairs:
+        for F in hosts:
+            assert arrows(F, G, H).arrows == naive_arrows(F, G, H), (F.edges(), G.edges())
 
 
 # Cockayne-Lorimer (1975): r(mK2, nK2) = 2m + n - 1 for m >= n

@@ -1,6 +1,8 @@
+import gc
 import hashlib
 import json
 import sys
+import tracemalloc
 from itertools import combinations_with_replacement
 
 import pytest
@@ -155,6 +157,24 @@ def test_each_candidate_is_proved_once(monkeypatch):
     assert {certificate(g) for g in cat.member_graphs()} == {certificate(b("3K2")), certificate(b("C5"))}
     assert asked
     assert len(asked) == len(set(asked))
+
+
+def test_a_catalog_leaves_no_memory_behind():
+    # canon keeps no memo, so a dropped catalog frees what it computed; the
+    # warm-up compiles the copy kernels of 2K2, 3K2 and C5, kept per pattern
+    G = b("2K2")
+    enumerate_ramsey_minimal(G, G, SearchBounds(6, 8))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        catalog = enumerate_ramsey_minimal(G, G, SearchBounds(8, 10))
+        assert len(catalog.members) == 2
+        del catalog
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 8192, held
 
 
 def test_catalog_budget_limited_flag():

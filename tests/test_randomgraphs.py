@@ -33,6 +33,23 @@ def test_vertex_cap_is_checked_before_any_uniform_is_drawn(monkeypatch):
         sample_gnp(-1, 0.5)
 
 
+class _NoStream:
+    def Random(self, key):
+        raise AssertionError(f"seeded a stream for {key}")
+
+
+def test_edge_uniforms_checks_the_vertex_count_before_drawing(monkeypatch):
+    # no stream is seeded for a vertex count that no Graph may have, so
+    # n = 10^9 raises at once instead of drawing C(n, 2) uniforms
+    monkeypatch.setattr(randomgraphs, "random", _NoStream())
+    with pytest.raises(ValueError, match="nonnegative"):
+        edge_uniforms(0, -1, 0)
+    with pytest.raises(VertexCapError):
+        edge_uniforms(0, 1025, 0)
+    with pytest.raises(VertexCapError):
+        edge_uniforms(0, 10**9, 0)
+
+
 def test_edge_count_mean_matches_binomial():
     # E[edges] = p * C(10,2) = 13.5; SE of the mean over 10^4 samples
     n, p, samples = 10, 0.3, 10**4
