@@ -50,6 +50,10 @@ one swap for each pair of consecutive isomorphic components, so
 Two graphs are isomorphic iff their certificates are equal; verified
 against brute-force permutation search in the test suite, as are the
 automorphism groups. No memo is kept: each call labels its graph afresh.
+The search is one module-level recursive function that takes its state
+as arguments (the rows, the edges, the twin masks, the generators and
+the best leaf so far), so a call leaves no reference cycle: what it
+builds is freed by reference counting, without the cyclic collector.
 """
 
 from __future__ import annotations
@@ -111,11 +115,6 @@ def _refine(adj, cells):
     return cells
 
 
-def _pair_index(i, j):
-    # i < j, upper triangle packed row by row
-    return j * (j - 1) // 2 + i
-
-
 def _orbit_closure(mask, gens):
     """The smallest vertex set containing mask that every generator maps
     into itself."""
@@ -160,94 +159,74 @@ def _twins(n, adj):
     return twin, swaps
 
 
+def _search(adj, edges, twin, gens, best, cells, path):
+    """Search below the node reached by individualizing path; return the
+    depth of the node to resume at. best holds the best leaf so far:
+    [packed adjacency, labeling (vertex -> label), its inverse, path]."""
+    if len(cells) < len(adj):  # a discrete partition is already equitable
+        cells = _refine(adj, cells)
+    while True:
+        for target, cell in enumerate(cells):
+            if len(cell) > 1:
+                break
+        else:  # discrete: score the leaf
+            pos = [0] * len(adj)
+            for i, (v,) in enumerate(cells):
+                pos[v] = i
+            acc = 0
+            for u, v in edges:
+                a, b = pos[u], pos[v]
+                if a > b:
+                    a, b = b, a
+                acc |= 1 << (b * (b - 1) // 2 + a)  # upper triangle packed row by row
+            if acc > best[0]:
+                best[:] = acc, pos, [v for v, in cells], path
+            elif acc == best[0]:
+                # both labelings give the same adjacency: best^-1 o pos is an
+                # automorphism, and it maps the rest of this subtree onto the
+                # explored subtree of best's branch at their common ancestor
+                inv, best_path = best[2], best[3]
+                gens.append(tuple(inv[i] for i in pos))
+                depth = 0
+                while path[depth] == best_path[depth]:
+                    depth += 1
+                return depth
+            return len(path) - 1
+        mask = twin[cell[0]]
+        if not mask or any(twin[v] != mask for v in cell):
+            break
+        # a cell of twins: each first child is already equitable, and
+        # the cell's permutations fix the path (module docstring)
+        cells = cells[:target] + [(v,) for v in cell] + cells[target + 1:]
+        path += cell[:-1]
+    depth = len(path)
+    stabilizer = []  # known generators fixing path pointwise
+    scanned = 0  # gens[:scanned] are sorted into stabilizer or not
+    covered = 0  # orbit of the explored children under stabilizer
+    for v in cell:
+        if covered >> v & 1:
+            continue
+        rest = tuple(w for w in cell if w != v)
+        child = cells[:target] + [(v,), rest] + cells[target + 1:]
+        resume = _search(adj, edges, twin, gens, best, child, path + (v,))
+        if resume < depth:
+            return resume
+        for a in gens[scanned:]:
+            if all(a[s] == s for s in path):
+                stabilizer.append(a)
+        scanned = len(gens)
+        covered = _orbit_closure(covered | 1 << v, stabilizer)
+    return depth - 1
+
+
 def _canon_connected(n, adj):
     """Return (packed adjacency int under the best labeling, perm,
     generators of Aut); perm maps vertex -> label, each generator maps
     vertex -> vertex."""
-    edges = []
-    for u in range(n):
-        row = adj[u] >> (u + 1) << (u + 1)
-        while row:
-            v = (row & -row).bit_length() - 1
-            row &= row - 1
-            edges.append((u, v))
-    best = -1
-    best_perm = None
-    best_inv = None
-    best_path = ()
     twin, gens = _twins(n, adj)
-
-    def leaf(cells, path):
-        """Score a discrete partition; return the depth to resume at."""
-        nonlocal best, best_perm, best_inv, best_path
-        pos = [0] * n
-        for i, cell in enumerate(cells):
-            pos[cell[0]] = i
-        acc = 0
-        for u, v in edges:
-            a, b = pos[u], pos[v]
-            if a > b:
-                a, b = b, a
-            acc |= 1 << _pair_index(a, b)
-        if acc > best:
-            best = acc
-            best_perm = tuple(pos)
-            best_inv = [0] * n
-            for v, i in enumerate(pos):
-                best_inv[i] = v
-            best_path = path
-        elif acc == best:
-            # both labelings give the same adjacency: best^-1 o pos is an
-            # automorphism, and it maps the rest of this subtree onto the
-            # explored subtree of best's branch at their common ancestor
-            gens.append(tuple(best_inv[i] for i in pos))
-            depth = 0
-            while path[depth] == best_path[depth]:
-                depth += 1
-            return depth
-        return len(path) - 1
-
-    def dfs(cells, path):
-        """Search below the node reached by individualizing path; return the
-        depth of the node to resume at."""
-        if len(cells) < n:  # a discrete partition is already equitable
-            cells = _refine(adj, cells)
-        while True:
-            target = None
-            for idx, cell in enumerate(cells):
-                if len(cell) > 1:
-                    target = idx
-                    break
-            if target is None:
-                return leaf(cells, path)
-            cell = cells[target]
-            mask = twin[cell[0]]
-            if not mask or any(twin[v] != mask for v in cell):
-                break
-            # a cell of twins: each first child is already equitable, and
-            # the cell's permutations fix the path (module docstring)
-            cells = cells[:target] + [(v,) for v in cell] + cells[target + 1:]
-            path += cell[:-1]
-        depth = len(path)
-        stabilizer = []  # known generators fixing path pointwise
-        scanned = 0  # gens[:scanned] are sorted into stabilizer or not
-        covered = 0  # orbit of the explored children under stabilizer
-        for v in cell:
-            if covered >> v & 1:
-                continue
-            rest = tuple(w for w in cell if w != v)
-            resume = dfs(cells[:target] + [(v,), rest] + cells[target + 1:], path + (v,))
-            if resume < depth:
-                return resume
-            for a in gens[scanned:]:
-                if all(a[s] == s for s in path):
-                    stabilizer.append(a)
-            scanned = len(gens)
-            covered = _orbit_closure(covered | 1 << v, stabilizer)
-        return depth - 1
-
-    dfs([tuple(range(n))], ())
-    return best, best_perm, gens
+    best = [-1, None, None, ()]
+    _search(adj, Graph._trusted(n, adj).edges(), twin, gens, best, [tuple(range(n))], ())
+    return best[0], best[1], gens
 
 
 def _canon(g: Graph):

@@ -270,7 +270,10 @@ def _edge_probability(d: Fraction, n: int, c) -> float:
     """c * n^(-1/d) for the pair density d, clamped to [0,1]."""
     if n < 3:
         raise ValueError("n must be at least 3")
-    c = Fraction(c)
+    try:
+        c = Fraction(c)
+    except (OverflowError, ZeroDivisionError):  # an infinite float, or a string such as '1/0'
+        raise ValueError(f"c must be a finite rational, not {c!r}") from None
     if c <= 0:
         raise ValueError("c must be positive")
     try:

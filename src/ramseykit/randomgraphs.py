@@ -52,12 +52,13 @@ class ExperimentConfig(FrozenRecord):
             if n > DEFAULT_MAX_N:
                 raise ValueError(f"n={n} exceeds the desk-scale cap {DEFAULT_MAX_N}")
         for c in c_values:
-            if Fraction(c) <= 0:
-                raise ValueError("c values must be positive")
-            try:
-                float(Fraction(c))
-            except OverflowError:
+            try:  # Fraction fails on an infinite float or '1/0', float on c >= 2^1024
+                c = Fraction(c)
+                float(c)
+            except (OverflowError, ZeroDivisionError):
                 raise ValueError("c values must have a finite float value (below 2^1024)") from None
+            if c <= 0:
+                raise ValueError("c values must be positive")
         object.__setattr__(self, "G", G)
         object.__setattr__(self, "H", H)
         object.__setattr__(self, "n_values", n_values)
@@ -107,6 +108,8 @@ def graph_from_uniforms(n: int, p: float, uniforms: Sequence[float]) -> Graph:
     """The graph on n vertices whose pair uv (u < v, in lexicographic order)
     is an edge when its uniform is below p."""
     check_vertex_count(n)
+    if len(uniforms) != n * (n - 1) // 2:
+        raise ValueError(f"{len(uniforms)} uniforms for n={n}; need one per pair, {n * (n - 1) // 2}")
     adj = [0] * n
     k = 0
     for u in range(n):

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import random
 from itertools import combinations
@@ -15,7 +16,9 @@ from ramseykit import (
     canonical_form,
     canonical_representative,
     certificate,
+    emit_graph6,
     enumerate_graphs,
+    enumerate_ramsey_minimal,
 )
 
 PETERSEN = Graph.from_edges(
@@ -203,6 +206,19 @@ def test_twin_rich_labelings_are_pinned():
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16] == "535822974eb563b8"
 
 
+def _generators_digest(graphs):
+    lines = [str(canonical_form(g).automorphisms) for g in graphs]
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16]
+
+
+def test_automorphism_generators_are_pinned():
+    # CanonicalForm.automorphisms is public: the generators themselves, in
+    # order, not only the group they produce
+    assert _generators_digest(twin_rich_family()) == "3b22f1992fbdb33f"
+    classes = sorted(enumerate_graphs(SearchBounds(7, 9)), key=emit_graph6)
+    assert _generators_digest(classes) == "af7ce07a8641e678"
+
+
 TWIN_GROUP_ORDERS = (
     [(f"S{r}", build_from_text(f"S{r}"), factorial(r)) for r in (2, 5, 8)]
     + [(f"K{n}", Graph.complete(n), factorial(n)) for n in (1, 2, 5, 8)]
@@ -243,3 +259,17 @@ def test_twin_cells_need_no_refinement_per_vertex(family, sizes, monkeypatch):
         canon._canon_connected(g.n, g.adj)
         counts.add(len(calls))
     assert len(counts) == 1, counts
+
+
+def test_canon_leaves_no_reference_cycle():
+    # the search passes its state as arguments, so what a call builds is
+    # freed by reference counting alone
+    gc.disable()
+    try:
+        gc.collect()
+        certificate(build_from_text("P5"))
+        assert gc.collect() == 0
+        enumerate_ramsey_minimal(build_from_text("2K2"), build_from_text("2K2"), SearchBounds(8, 10))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

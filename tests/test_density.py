@@ -108,6 +108,12 @@ def test_threshold_p():
         threshold_p(b("P4"), b("K3"), 10, 1)
 
 
+@pytest.mark.parametrize("c", [float("inf"), float("-inf"), "1/0", float("nan")])
+def test_threshold_p_rejects_a_c_that_is_no_rational(c):
+    with pytest.raises(ValueError):
+        threshold_p(b("K3"), b("K3"), 6, c)
+
+
 def test_threshold_p_on_an_n_with_no_float_value():
     # n^(-1/2) in logarithms, since float(10**400) overflows
     assert threshold_p(b("K3"), b("K3"), 10**400, 1) == pytest.approx(1e-200)

@@ -71,6 +71,14 @@ def test_graph_from_uniforms_matches_edge_list(n):
             assert got == want == Graph(got.n, got.adj)
 
 
+def test_graph_from_uniforms_takes_one_uniform_per_pair():
+    assert graph_from_uniforms(4, 0.5, [0.1] * 6) == Graph.complete(4)
+    assert graph_from_uniforms(1, 0.5, []) == Graph.empty(1)
+    for n, uniforms in ((4, [0.1]), (3, [0.1] * 10), (3, [0.1] * 4), (2, [])):
+        with pytest.raises(ValueError, match="one per pair"):
+            graph_from_uniforms(n, 0.5, uniforms)
+
+
 def test_sampling_reproducible():
     a = sample_gnp(12, 0.4, seed=9, sample_index=3)
     c = sample_gnp(12, 0.4, seed=9, sample_index=3)

@@ -148,6 +148,8 @@ def test_constructor_calls_made_by_callers():
         lambda: randomgraphs.ExperimentConfig(K3, K3, (25,), (1,), 5, 1),
         lambda: randomgraphs.ExperimentConfig(K3, K3, (6,), (0,), 5, 1),
         lambda: randomgraphs.ExperimentConfig(K3, K3, (6,), (Fraction(2**1100),), 5, 1),
+        lambda: randomgraphs.ExperimentConfig(K3, K3, (6,), (float("inf"),), 5, 1),
+        lambda: randomgraphs.ExperimentConfig(K3, K3, (6,), ("1/0",), 5, 1),
     ],
 )
 def test_constructor_checks_raise_value_error(make):
