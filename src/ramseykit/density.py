@@ -10,12 +10,14 @@ each size can win.
 One pass over the 2^n vertex subsets of X therefore builds X's profile: for
 each size k, the largest edge count of a k-vertex induced subgraph and the
 lexicographically first subset that reaches it. Edge counts are held as
-16-bit lanes of Python ints, in chunks of 2^10 subsets (2 KB), and the
-chunks with the same number of vertices beyond the first ten are merged by
-a lane-wise maximum and read once, so the pass runs as big-integer and
-memoryview operations with no Python step per subset: about 0.06 ms at 10
-vertices and 0.04-0.2 s at the 24-vertex cap, with a traced peak under
-80 KB, on a 2-core VM with Python 3.11. Each
+16-bit lanes of Python ints, in chunks of 2^c subsets of the c low
+vertices, with c derived from n: c = n up to 10 vertices, then n-6 held
+between 8 and 10, so a chunk is at most 2 KB. The chunks with the same
+number of high vertices (those beyond the first c) are merged by a
+lane-wise maximum and read once, so the pass runs as big-integer and
+memoryview operations with no Python step per subset: about 0.06-0.1 ms
+at 10 vertices and 0.07-0.09 s at the 24-vertex cap, with a traced peak
+under 80 KB, on a 2-core VM with Python 3.11 (BENCH_26.json). Each
 parameter is then read from the profile in n+1 integer cross-multiplications
 and one Fraction, and one profile serves rho, m2 and the pair value. No
 floating point appears in any parameter value; floats enter only in the
@@ -36,7 +38,7 @@ from .graphs import FrozenRecord, Graph
 
 MAX_SUBSET_VERTICES = 24
 _LANE_BITS = 16  # an edge count is at most C(24, 2) = 276 < 2^15
-_LOW_VERTICES = 10  # a chunk holds 2^10 lanes, 2 KB
+_LOW_VERTICES = 10  # a chunk holds at most 2^10 lanes, 2 KB
 # _ONES[j]: 2^j lanes, each holding 1
 _ONES = tuple(int.from_bytes(b"\x01\x00" * (1 << j), "little") for j in range(_LOW_VERTICES + 1))
 
@@ -141,11 +143,21 @@ def _profile(X: Graph) -> Tuple[list, list]:
     the lanes of each low size. S sorts before R of its size iff the lowest
     vertex of S ^ R is in S, and every low vertex precedes every high one,
     so the low part of the winner decides first; then _first_high finds T.
+
+    The width c follows from n. A wider chunk makes each of the n-c+1
+    accumulator reads dearer; a narrower one doubles the 2^(n-c) merges
+    and lengthens _first_high's walk. So c = n up to 10 vertices, then n-6
+    held between 8 and 10. In the width table of BENCH_26.json this is the
+    fastest width, or close to it, on random graphs up to 15 vertices, and
+    slower than 2^10 lanes on no graph timed. From 16 vertices a narrower
+    chunk gains on random graphs but loses more on a clique over the last
+    vertices, the longest walk. The cap of 2^10 lanes holds each
+    accumulator to 2 KB.
     """
     _check_size(X)
     n = X.n
     adj = X.adj
-    c = min(n, _LOW_VERTICES)
+    c = n if n <= _LOW_VERTICES else min(max(n - 6, 8), _LOW_VERTICES)
     lanes = 0
     for h in range(c):
         lanes |= (lanes + _count_lanes(adj[h], h)) << (_LANE_BITS << h)

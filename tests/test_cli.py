@@ -66,6 +66,16 @@ def test_density_subcommand(capsys):
     assert doc["m2_pair"] == "2"
 
 
+def test_density_winners_among_the_high_vertices(capsys):
+    # 14 vertices: each witness ends in the chunk's high vertices, so its
+    # high part is recovered after the accumulator reads
+    doc = run_json(capsys, "density", "K4+K10", "--pair", "K3")
+    assert (doc["rho"], doc["m2"], doc["m2_pair"]) == ("9/2", "11/2", "90/17")
+    assert doc["m2_pair_swapped"] is False
+    for key in ("rho_witness", "m2_witness", "m2_pair_witness"):
+        assert doc[key] == list(range(4, 14))
+
+
 def test_density_usage_errors(capsys):
     code, _, err = run_cli(capsys, "density", "30K2")
     assert code == 1

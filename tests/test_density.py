@@ -160,15 +160,27 @@ def test_density_at_the_subset_cap():
 def test_profile_matches_byte_array_oracle():
     graphs = list(naive_classes_no_isolated_upto(5))
     graphs += [sample_gnp(n, p, seed=n) for n in range(17) for p in (0.1, 0.35, 0.6, 0.9)]
-    # ties across chunks of 2^10 subsets
+    # ties across the chunks of the high subsets
     graphs += [Graph.from_edges(16, []), b("8K2"), b("K8+K8"), b("K16"), b("9K2")]
-    # maxima among the high vertices, and ties across high subset sizes
-    graphs += [Graph.from_edges(n, []) for n in range(11, 19)]
-    graphs += [b(f"K{n}") for n in range(11, 19)]
     graphs.append(Graph.from_edges(16, [(0, 1), (2, 3), (3, 4)] + list(combinations(range(11, 16), 2))))
-    graphs += [sample_gnp(n, p, seed=n) for n in (17, 18) for p in (0.2, 0.5)]
     for X in graphs:
         assert _profile(X) == subset_profile(X), X.edges()
+
+
+def test_profile_matches_oracle_at_every_chunk_width():
+    # n = 11..18 takes each chunk width of 8, 9 and 10 low vertices, with
+    # three to eight high vertices
+    for n in range(11, 19):
+        graphs = [Graph.from_edges(n, []), b(f"K{n}")]
+        # the larger clique last puts winners partly among the high vertices,
+        # and K3 on the last three vertices puts some wholly there
+        graphs += [b(f"K{a}+K{n - a}") for a in (1, n // 3, n // 2)]
+        graphs.append(Graph.from_edges(n, list(combinations(range(n - 3, n), 2))))
+        # a matching: ties across chunks and across high subset sizes
+        graphs.append(Graph.from_edges(n, [(v, v + 1) for v in range(0, n - 1, 2)]))
+        graphs += [sample_gnp(n, p, seed=n) for p in (0.2, 0.5, 0.8)]
+        for X in graphs:
+            assert _profile(X) == subset_profile(X), X.edges()
 
 
 def test_profile_at_the_subset_cap():
