@@ -200,27 +200,34 @@ class Graph(FrozenRecord):
 
     def induced(self, vertices) -> "Graph":
         """Induced subgraph on the given vertices, relabeled 0..k-1 in
-        ascending original order. Each row is compressed one run of
-        consecutive kept labels at a time, so the work is k times the
-        number of runs (one run when only trailing vertices are dropped)."""
+        ascending original order. The vertices are sorted, deduplicated and
+        range-checked; `_induced_sorted` then relabels with one step per end
+        of a kept edge, wherever the dropped labels lie."""
         vs = sorted(set(vertices))
         if vs and not (0 <= vs[0] and vs[-1] < self.n):
             raise ValueError(f"vertices must lie in 0..{self.n - 1}")
         if len(vs) == self.n:
             return self
-        masks, shifts = [], []  # per run: its labels, and how many labels below it are dropped
+        return self._induced_sorted(vs)
+
+    def _induced_sorted(self, vs: list) -> "Graph":
+        """Induced subgraph on `vs`, which must be sorted, distinct and in
+        range; vertex vs[i] becomes i. Each kept row is masked to the kept
+        vertices, and each of its set bits is looked up in a table of new
+        label bits indexed by bit length (v + 1 for vertex v)."""
+        adj = self.adj
+        new = [0] * (self.n + 1)
+        keep = 0
         for i, v in enumerate(vs):
-            if i and v == vs[i - 1] + 1:
-                masks[-1] |= 1 << v
-            else:
-                masks.append(1 << v)
-                shifts.append(v - i)
-        runs = list(zip(masks, shifts))
+            new[v + 1] = 1 << i
+            keep |= 1 << v
         rows = []
         for v in vs:
-            row, out = self.adj[v], 0
-            for mask, shift in runs:
-                out |= (row & mask) >> shift
+            row, out = adj[v] & keep, 0
+            while row:
+                low = row & -row
+                out |= new[low.bit_length()]
+                row ^= low
             rows.append(out)
         return Graph._trusted(len(rows), tuple(rows))
 
@@ -235,10 +242,11 @@ class Graph(FrozenRecord):
 
     def without_isolated(self) -> "Graph":
         """Induced subgraph on the non-isolated vertices; the graph itself
-        when it has none."""
+        when it has none. The kept list is sorted and in range as built,
+        so `induced`'s checks are skipped."""
         if 0 not in self.adj:
             return self
-        return self.induced([v for v in range(self.n) if self.adj[v]])
+        return self._induced_sorted([v for v, row in enumerate(self.adj) if row])
 
     def connected_components(self) -> list:
         """Vertex sets of components, each a sorted list."""

@@ -307,8 +307,18 @@ def test_isolated_host_vertices_change_no_verdict():
     targets = [b(s) for s in ("K2", "2K2", "P3", "K3")]
     for core in enumerate_graphs(SearchBounds(6, 6)):
         for extra in (1, 2):
-            F = core.disjoint_union(Graph.empty(extra))
-            for G, H in product(targets, repeat=2):
+            appended = core.disjoint_union(Graph.empty(extra))
+            # the same host with its isolated vertices moved between the
+            # core's: old label order[i] becomes i
+            mid = core.n // 2
+            order = list(range(mid)) + list(range(core.n, appended.n)) + list(range(mid, core.n))
+            perm = [0] * appended.n
+            for new, old in enumerate(order):
+                perm[old] = new
+            interior = appended.relabel(perm)
+            assert interior.isolated_vertices() == list(range(mid, mid + extra))
+            assert interior.without_isolated() == core
+            for F, G, H in product((appended, interior), targets, targets):
                 v = arrows(F, G, H)
                 w = find_good_coloring(F, G, H)
                 assert v.arrows == w.arrows == naive_arrows(F, G, H), (F.edges(), G.edges(), H.edges())

@@ -417,6 +417,14 @@ def test_witnesses_use_the_input_labels(capsys):
     assert set(coloring.assignment) <= set(F.edges())
     assert coloring.is_good(K3, K3)
 
+    # an isolated vertex between two components: the second K3 keeps labels 4-6
+    F = build_from_text("K3+K1+K3")
+    doc = run_json(capsys, "arrow", "K3+K1+K3", "K3", "K3")
+    assert doc["arrows"] is False
+    coloring = EdgeColoring(F, {tuple(w["edge"]): w["color"] for w in doc["witness"]})
+    assert set(coloring.assignment) == set(F.edges())
+    assert coloring.is_good(K3, K3)
+
     F = build_from_text("K1+C5")
     doc = run_json(capsys, "minimal", "K1+C5", "2K2", "2K2")
     assert doc["is_minimal"] is True

@@ -22,7 +22,7 @@ from ramseykit import (
     parse_spec,
 )
 from ramseykit.classify import StarForestShape, _shape_and_cycle
-from ramseykit.graphs import VertexCapError
+from ramseykit.graphs import MAX_VERTICES, VertexCapError
 
 
 def test_build_star():
@@ -241,6 +241,62 @@ def test_induced_matches_brute_force():
         build_from_text("K3").induced([0, 3])
     with pytest.raises(ValueError):
         build_from_text("K3").induced([-1])
+
+
+def _with_isolated(rng, n, isolated, density):
+    """A random graph on n vertices whose isolated vertices are exactly
+    `isolated`; every other vertex gets at least one edge."""
+    kept = [v for v in range(n) if v not in isolated]
+    edges = {(u, v) for i, u in enumerate(kept) for v in kept[i + 1:] if rng.random() < density}
+    for u in kept:
+        if not any(u in e for e in edges):
+            v = rng.choice([w for w in kept if w != u])
+            edges.add((min(u, v), max(u, v)))
+    return Graph.from_edges(n, edges)
+
+
+def _isolated_sets(rng, n):
+    """Isolated vertex sets of each placement, leaving at least two other
+    vertices (a lone vertex cannot have an edge)."""
+    out = {"none": set(), "all": set(range(n))}
+    if n >= 3:
+        k = rng.randint(1, n - 2)
+        out["leading"] = set(range(k))
+        out["trailing"] = set(range(n - k, n))
+        out["interior"] = set(rng.sample(range(1, n - 1), rng.randint(1, n - 2)))
+        out["anywhere"] = set(rng.sample(range(n), k))
+    return out
+
+
+def _brute_without_isolated(g):
+    edges = g.edges()
+    pos = {v: i for i, v in enumerate(sorted({v for e in edges for v in e}))}
+    return Graph.from_edges(len(pos), [(pos[u], pos[v]) for u, v in edges])
+
+
+def test_without_isolated_matches_brute_force():
+    rng = random.Random(27)
+    seen = set()
+    for n in list(range(9)) + [16, 33, 64]:
+        for density in (0.1, 0.35, 0.7):
+            for where, isolated in _isolated_sets(rng, n).items():
+                if n - len(isolated) == 1:
+                    continue
+                g = _with_isolated(rng, n, isolated, density)
+                assert set(g.isolated_vertices()) == isolated, (n, where)
+                got = g.without_isolated()
+                assert got == _brute_without_isolated(g) == Graph(got.n, got.adj), (n, where, g.edges())
+                assert (got is g) == (not isolated)
+                seen.add(where)
+    assert seen == {"none", "all", "leading", "trailing", "interior", "anywhere"}
+    # a sparse graph at the vertex limit, isolated vertices spread through it
+    n = MAX_VERTICES
+    isolated = set(rng.sample(range(1, n - 1), 700))
+    g = _with_isolated(rng, n, isolated, 0.004)
+    assert set(g.isolated_vertices()) == isolated
+    got = g.without_isolated()
+    assert got == _brute_without_isolated(g) == Graph(got.n, got.adj)
+    assert got.n == n - 700
 
 
 def test_derived_graphs_equal_validated_ones():
