@@ -528,6 +528,18 @@ def _threshold_questions():
     ]
 
 
+def test_verdicts_are_pinned():
+    # verdicts only, with no node count and no witness: the edge, copy and
+    # decision orders may move the work and the witnesses, never these
+    questions = _threshold_questions()
+    classes = _classes(7, 9)
+    for g, h in (("K3", "K3"), ("C4", "K3"), ("C4", "K4"), ("3K2", "K3"), ("P3", "2K2")):
+        questions += [(F, b(g), b(h)) for F in classes]
+    verdicts = "".join({True: "1", False: "0", None: "?"}[arrows(F, G, H).arrows] for F, G, H in questions)
+    assert (len(verdicts), verdicts.count("1"), verdicts.count("?")) == (1200 + 5 * 373, 355, 0)
+    assert hashlib.sha256(verdicts.encode()).hexdigest()[:16] == "b9c83cb1c997d4f9"
+
+
 def test_search_work_and_witnesses_are_pinned():
     # the verdict, the node count and the witness of every search at once:
     # a change to the edge, copy or decision order shows here
