@@ -30,10 +30,13 @@ The count cannot cut deeper in the tree: red, blue and free edges always
 sum to F's edge count.
 
 The decision works on the copy hypergraph of F: every copy of G and of H
-in F, once, as a bitmask over F's edges, filed under each of its edges as
-the kernel lists it. The edges take bits in a fixed order (descending
-endpoint degree sum), from a table of rows, eidx[u][v], that the kernel
-builds at its first copy. A coloring is good exactly when every G-copy has
+in F, once, as a bitmask over pairs of F's vertices, filed under each of
+its edges as the kernel lists it. The k non-isolated vertices are ranked
+by descending degree, ties by label, and the pair of ranks a < b takes the
+bit of its lexicographic index, so the lowest bits are the edges at the
+vertex of highest degree. The indices come from one table per k
+(`_pair_table`), whose rows the kernel gathers, eidx[u][v], for the ranked
+vertices at its first copy. A coloring is good exactly when every G-copy has
 a blue edge and every H-copy has a red edge, so with no G-copy (H-copy)
 all red (blue) is good and no table is built. G and H have the same
 copies in every host exactly when they are isomorphic; then H's copies
@@ -70,6 +73,8 @@ from __future__ import annotations
 
 import time
 from functools import lru_cache
+from itertools import combinations
+from operator import itemgetter
 from typing import Dict, List, Optional, Tuple
 
 from .graphs import DEFAULT_VERTEX_CAP, Graph, Record, VertexCapError, check_targets
@@ -252,14 +257,15 @@ def _conditions(anchors, need, above):
 def _kernel_source(anchors, need, above) -> str:
     """The Python source of the copy kernel for the plan (`anchors`,
     `need`, `above`), built from the plan's integers only. The kernel is
-    called as kernel(adj, degs, limit, edges, eidx, through) on a host with
-    adjacency rows `adj` and degrees `degs`. It lists the copies in the
+    called as kernel(adj, degs, limit, ranking, eidx, through) on a host
+    with adjacency rows `adj` and degrees `degs`. It lists the copies in the
     lexicographic order of their images by position, ORs 1 <<
     eidx[u][v] over the edges uv of each into its mask, and files the
-    mask in through[e] for each of its edges e (at the first copy, an empty
-    `eidx` is filled by `_edge_order`). It returns (copies, the union of
-    the masks), and stops right after copy limit + 1; at once, with (0, 0),
-    when fewer vertices than the pattern's have the smallest need.
+    mask in through[e] for each of its edges e (at the first copy, the
+    empty `ranking`, `eidx` and `through` are filled by `_edge_order`). It
+    returns (copies, the union of the masks), and stops right after copy
+    limit + 1; at once, with (0, 0), when fewer vertices than the
+    pattern's have the smallest need.
 
     Position i has one `while c_i:` loop over its candidates, lowest vertex
     first: the vertices of degree >= need[i], AND the rows of its anchors'
@@ -276,10 +282,10 @@ def _kernel_source(anchors, need, above) -> str:
     k = len(need)
     direct, room = _conditions(anchors, need, above)
     fits = sorted(set(need))
-    args = "adj, degs, limit, edges, eidx, through" + "".join(f", f{d}" for d in fits)
+    args = "adj, degs, limit, ranking, eidx, through" + "".join(f", f{d}" for d in fits)
     pedges = [(j, i) for i in range(k) for j in anchors[i]]
     old = [f"1 << e{j}_{h}" for j, h in pedges if h < k - 1]  # the bits of the edges before the last position
-    lines = ["def _list(adj, degs, limit, edges, eidx, through):"]
+    lines = ["def _list(adj, degs, limit, ranking, eidx, through):"]
     if fits:
         lines += ["    " + " = ".join(f"f{d}" for d in fits) + " = 0", "    for v, d in enumerate(degs):"]
         for d in fits:
@@ -302,7 +308,7 @@ def _kernel_source(anchors, need, above) -> str:
             lines.append(f"{pad}c{i} = {' & '.join(terms)}")
             if i == k - 1 and pedges:
                 lines += [f"{pad}if c{i}:", f"{pad}    if not eidx:"]
-                lines.append(f"{pad}        _edge_order(adj, degs, edges, eidx, through)")
+                lines.append(f"{pad}        _edge_order(adj, degs, ranking, eidx, through)")
                 lines += [f"{pad}    e{j}_{h} = eidx[v{j}][v{h}]" for j, h in pedges if h < k - 1]
                 lines += [f"{pad}    m = {' | '.join(old)}"] * bool(old)
                 pad += "    "
@@ -333,27 +339,33 @@ def _kernel_source(anchors, need, above) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _edge_order(adj, degs, edges, eidx, through):
-    """Fill the empty lists `edges` with the edges of the host with rows
-    `adj` by descending endpoint degree sum, lexicographic within a sum, in
-    one pass over the rows; `eidx` with rows of their indices, eidx[u][v]
-    for edge uv; and `through` with one empty list per edge."""
-    n = len(adj)
-    by_sum: Dict[int, list] = {}
-    for u in range(n):
-        row = adj[u] >> (u + 1) << (u + 1)
-        du = degs[u]
-        while row:
-            low = row & -row
-            row ^= low
-            v = low.bit_length() - 1
-            by_sum.setdefault(du + degs[v], []).append((u, v))
-    for s in sorted(by_sum, reverse=True):
-        edges.extend(by_sum[s])
-    eidx.extend([0] * n for _ in range(n))
-    for i, (u, v) in enumerate(edges):
-        eidx[u][v] = eidx[v][u] = i
-        through.append([])
+@lru_cache(maxsize=DEFAULT_VERTEX_CAP + 1)
+def _pair_table(k: int):
+    """The pairs of k ranks, a < b, in lexicographic order, and the rows of
+    their indices: rows[a][b] = rows[b][a] is the index of pair (a, b)."""
+    pairs = tuple(combinations(range(k), 2))
+    rows = [[0] * k for _ in range(k)]
+    for i, (a, b) in enumerate(pairs):
+        rows[a][b] = rows[b][a] = i
+    return pairs, tuple(map(tuple, rows))
+
+
+def _edge_order(adj, degs, ranking, eidx, through):
+    """Fill the empty lists `ranking` with the non-isolated vertices of the
+    host with rows `adj` by descending degree, ties by label; `eidx` with
+    one row per vertex, eidx[u][v] the index in `_pair_table` of the ranks
+    of u and v (None for an isolated vertex, which no edge reads); and
+    `through` with one empty list per pair of ranks."""
+    ranking.extend(sorted((v for v, d in enumerate(degs) if d), key=degs.__getitem__, reverse=True))
+    pairs, rows = _pair_table(len(ranking))
+    rank = [0] * len(adj)
+    for r, v in enumerate(ranking):
+        rank[v] = r
+    gather = itemgetter(*rank)
+    eidx.extend([None] * len(adj))
+    for r, v in enumerate(ranking):
+        eidx[v] = gather(rows[r])
+    through.extend([[] for _ in pairs])
 
 
 @lru_cache(maxsize=4096)
@@ -479,7 +491,11 @@ def check_budget(budget: int):
         raise ValueError(f"node budget must be at least 1, got {budget}")
 
 
-def _check_search(F: Graph, budget: int):
+def _check_search(F: Graph, G: Graph, H: Graph, budget: int):
+    """The checks every search makes first, on the host as given: a host
+    over the cap is rejected by counting its non-isolated rows, before any
+    relabeling."""
+    check_targets(G, H)
     check_budget(budget)
     if F.n > DEFAULT_VERTEX_CAP:
         used = sum(1 for row in F.adj if row)
@@ -539,8 +555,7 @@ def find_good_coloring(
     1, and VertexCapError when F has more than DEFAULT_VERTEX_CAP
     non-isolated vertices."""
     t0 = time.perf_counter()
-    check_targets(G, H)
-    _check_search(F, budget)
+    _check_search(F, G, H, budget)
     outcome, witness, nodes = _search(F, G, H, budget)
     return ArrowVerdict(outcome, witness, nodes, time.perf_counter() - t0)
 
@@ -562,9 +577,9 @@ def _search(F: Graph, G: Graph, H: Graph, budget: int):
         if F.edge_count > _matching_free_edges(N, G.edge_count) + _matching_free_edges(N, H.edge_count):
             return True, None, 0
     degs = [row.bit_count() for row in F.adj]
-    edges, eidx, g_through = [], [], []  # the kernel fills them at the first copy
+    ranking, eidx, g_through = [], [], []  # the kernel fills them at the first copy
     limit = min(budget, MAX_COPIES)
-    nodes, g_live = _copy_plan(G)(F.adj, degs, limit, edges, eidx, g_through)
+    nodes, g_live = _copy_plan(G)(F.adj, degs, limit, ranking, eidx, g_through)
     if not nodes:
         return False, _monochrome(F, RED), 0
     if nodes > limit:
@@ -572,7 +587,7 @@ def _search(F: Graph, G: Graph, H: Graph, budget: int):
         if has_copy(F, H):
             return None, None, limit
         return False, _monochrome(F, BLUE), limit
-    m = len(edges)
+    m = len(g_through)
     # Targets without isolated vertices have the same copies in every host
     # exactly when they are isomorphic, which G's compiled kernel decides.
     swap = H == G or (G.n == H.n and G.edge_count == H.edge_count and has_copy(H, G))
@@ -581,7 +596,7 @@ def _search(F: Graph, G: Graph, H: Graph, budget: int):
     else:
         limit = min(budget - nodes, MAX_COPIES)
         h_through = [[] for _ in range(m)]
-        count, h_live = _copy_plan(H)(F.adj, degs, limit, edges, eidx, h_through)
+        count, h_live = _copy_plan(H)(F.adj, degs, limit, ranking, eidx, h_through)
         if not count:
             return False, _monochrome(F, BLUE), nodes
         if count > limit:
@@ -624,11 +639,13 @@ def _search(F: Graph, G: Graph, H: Graph, budget: int):
             state = _propagate(red, blue | 1 << e, [e], g_through, h_through)
         red, blue = state
     # edges in no copy end red with the rest
+    pairs = _pair_table(len(ranking))[0]
     rows = [0] * F.n
     while blue:
         low = blue & -blue
         blue ^= low
-        u, v = edges[low.bit_length() - 1]
+        a, b = pairs[low.bit_length() - 1]
+        u, v = ranking[a], ranking[b]
         rows[u] |= 1 << v
         rows[v] |= 1 << u
     blue_rows = tuple(rows)
@@ -638,6 +655,7 @@ def _search(F: Graph, G: Graph, H: Graph, budget: int):
 def arrows(F: Graph, G: Graph, H: Graph, budget: int = DEFAULT_NODE_BUDGET) -> ArrowVerdict:
     """Decide F -> (G,H) on F.without_isolated(), which a witness colors;
     the targets have no isolated vertex, so F's cannot matter."""
+    _check_search(F, G, H, budget)
     return find_good_coloring(F.without_isolated(), G, H, budget=budget)
 
 
@@ -686,6 +704,7 @@ def is_ramsey_minimal(
     deletion proven to still arrow makes F not minimal whatever the others
     return; otherwise an unknown deletion leaves the answer unknown. Raises
     like `arrows` on a budget below 1 or a host over the vertex cap."""
+    _check_search(F, G, H, budget)
     F = F.without_isolated()
     top = arrows(F, G, H, budget=budget)
     if not top.arrows:  # does not arrow, or unknown: so is minimality

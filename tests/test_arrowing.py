@@ -57,16 +57,16 @@ def _classes(max_vertices, max_edges):
 
 def _masks(F, P, limit=10**6):
     # the edge masks of P's copies in F, in listing order, under the search's
-    # edge order: with one list standing for every edge, each copy appends
-    # its mask once per pattern edge, in a row
+    # edge order: with one list standing for every pair of the table, each
+    # copy appends its mask once per pattern edge, in a row
     degs = [row.bit_count() for row in F.adj]
-    edges, eidx, seq = [], [], []
-    _edge_order(F.adj, degs, edges, eidx, [])
-    count, live = _copy_plan(P)(F.adj, degs, limit, edges, eidx, [seq] * F.edge_count)
+    ranking, eidx, through, seq = [], [], [], []
+    _edge_order(F.adj, degs, ranking, eidx, through)
+    count, live = _copy_plan(P)(F.adj, degs, limit, ranking, eidx, [seq] * len(through))
     masks = seq[:: P.edge_count]
     assert seq == [c for c in masks for _ in range(P.edge_count)]
     assert count == len(masks)
-    assert live == sum(1 << e for e in range(F.edge_count) if any(c >> e & 1 for c in masks))
+    assert live == sum(1 << e for e in range(len(through)) if any(c >> e & 1 for c in masks))
     return masks
 
 
@@ -102,22 +102,25 @@ def test_copy_lists_are_pinned():
     for F in _classes(7, 9):
         for name in PATTERNS:
             lines.append(repr(_masks(F, b(name))))
-    assert hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16] == "b3f53ea1e4e4f809"
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16] == "40b7c91364dd159a"
 
 
 def test_every_copy_is_filed_under_exactly_its_own_edges():
     # the kernel builds the edge table at the first copy, and not on a host
-    # without one; through[e] then holds, in listing order, exactly the
-    # masks with bit e; every mask is the edge set of a copy of the
-    # pattern, and no copy comes twice
-    for F in enumerate_graphs(SearchBounds(7, 9)):
+    # without one: the non-isolated vertices ranked by descending degree,
+    # ties by label, and pair index i for the i-th pair of ranks a < b in
+    # lexicographic order; isolated vertices get no row. through[e] then
+    # holds, in listing order, exactly the masks with bit e; every mask is
+    # the edge set of a copy of the pattern, and no copy comes twice
+    for F in list(enumerate_graphs(SearchBounds(7, 9))) + [b("K3+2K1+P4"), b("2K1+S3")]:
         degs = [row.bit_count() for row in F.adj]
-        edges, eidx, through = [], [], []
-        _edge_order(F.adj, degs, edges, eidx, through)
-        assert sorted(edges) == F.edges() and through == [[] for _ in edges] and len(eidx) == F.n
-        assert all(eidx[u][v] == eidx[v][u] == i for i, (u, v) in enumerate(edges))
-        sums = [degs[u] + degs[v] for u, v in edges]
-        assert sums == sorted(sums, reverse=True)
+        ranking, eidx, through = [], [], []
+        _edge_order(F.adj, degs, ranking, eidx, through)
+        assert ranking == sorted((v for v in range(F.n) if degs[v]), key=lambda v: (-degs[v], v))
+        pairs = list(combinations(ranking, 2))  # pair index -> the labels of its ranks
+        assert through == [[] for _ in pairs] and len(eidx) == F.n
+        assert all((eidx[v] is None) == (degs[v] == 0) for v in range(F.n))
+        assert all(eidx[u][v] == eidx[v][u] == i for i, (u, v) in enumerate(pairs))
         for name in PATTERNS:
             P = b(name)
             masks = _masks(F, P)
@@ -127,10 +130,10 @@ def test_every_copy_is_filed_under_exactly_its_own_edges():
             if not masks:
                 assert table == ([], [], []), (name, F.edges())
                 continue
-            assert table[:2] == (edges, eidx), (name, F.edges())
-            assert table[2] == [[c for c in masks if c >> e & 1] for e in range(len(edges))], (name, F.edges())
+            assert table[:2] == (ranking, eidx), (name, F.edges())
+            assert table[2] == [[c for c in masks if c >> e & 1] for e in range(len(pairs))], (name, F.edges())
             for c in masks:
-                copy = Graph.from_edges(F.n, [edges[e] for e in range(len(edges)) if c >> e & 1])
+                copy = Graph.from_edges(F.n, [pairs[e] for e in range(len(pairs)) if c >> e & 1])
                 assert are_isomorphic(copy.without_isolated(), P), (name, F.edges(), c)
 
 
@@ -416,23 +419,23 @@ def test_k7_not_minimal():
 
 
 def test_one_proven_deletion_settles_not_minimal():
-    # K6+2K5 -> (K3,K3) takes 59 nodes; deleting a K5 edge still arrows
-    # (proved in 56 nodes), while the K6-edge deletions need 63 nodes for a
-    # witness, so at budget 60 they stay unknown
-    F = b("K6+2K5")
-    rep = is_ramsey_minimal(F, b("K3"), b("K3"), budget=60)
+    # K6+3K5 -> (K3,K3) takes 69 nodes; deleting a K5 edge still arrows
+    # (proved in 66 nodes), while the K6-edge deletions need 76 nodes for a
+    # witness, so at budget 70 they stay unknown
+    F = b("K6+3K5")
+    rep = is_ramsey_minimal(F, b("K3"), b("K3"), budget=70)
     assert rep.is_ramsey is True
     assert rep.is_minimal is False
     assert set(rep.per_edge) == set(F.edges())
     assert all(w is None for w in rep.per_edge.values())
-    rep = is_ramsey_minimal(F, b("K3"), b("K3"), budget=63)
+    rep = is_ramsey_minimal(F, b("K3"), b("K3"), budget=76)
     assert rep.is_minimal is False
     assert sum(w is not None for w in rep.per_edge.values()) == 15
 
 
 def test_unknown_deletions_without_a_proof_leave_minimality_unknown():
-    # K7 -> (K3,C4) is proved in 466 nodes, each deletion needs over 700
-    rep = is_ramsey_minimal(b("K7"), b("K3"), b("C4"), budget=500)
+    # K7 -> (K3,C4) is proved in 466 nodes, each deletion in 477
+    rep = is_ramsey_minimal(b("K7"), b("K3"), b("C4"), budget=470)
     assert rep.is_ramsey is True
     assert rep.is_minimal is None
     assert all(w is None for w in rep.per_edge.values())
@@ -509,6 +512,17 @@ def test_host_vertex_cap_is_enforced():
     assert arrows(b("K6").disjoint_union(Graph.empty(70)), b("K3"), b("K3")).arrows is True
 
 
+def test_host_far_over_the_cap_is_rejected_before_relabeling():
+    # the non-isolated rows are counted first: relabeling K1000 to drop the
+    # isolated vertices takes tenths of a second, the count microseconds
+    F = Graph.complete(1000).disjoint_union(Graph.empty(24))
+    for call in (arrows, is_ramsey_minimal):
+        t0 = time.perf_counter()
+        with pytest.raises(VertexCapError):
+            call(F, b("K3"), b("K3"))
+        assert time.perf_counter() - t0 < 0.05, call
+
+
 def _search_digest(questions):
     lines = []
     for F, G, H in questions:
@@ -544,7 +558,7 @@ def test_search_work_and_witnesses_are_pinned():
     # the verdict, the node count and the witness of every search at once:
     # a change to the edge, copy or decision order shows here
     K3 = b("K3")
-    assert _search_digest(_threshold_questions()) == "b009e85c1d0caf64"
+    assert _search_digest(_threshold_questions()) == "bc7486235dc81f94"
     assert arrows(b("K9"), K3, b("K4")).nodes == 39336
     assert _search_digest([(b("K9"), K3, b("K4"))]) == "75346f74a3e7ba1d"
     asymmetric = [(b(f), b(g), K3) for g in ("C4", "2K2") for f in ("K4", "K6", "K7")]

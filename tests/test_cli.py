@@ -343,12 +343,12 @@ def test_unread_flags_are_gone(capsys):
 def test_minimal_with_a_proven_deletion_is_false_under_budget(capsys):
     # the K5-edge deletions still arrow within the budget, the K6-edge
     # witness searches do not finish: one proof settles is_minimal
-    doc = run_json(capsys, "minimal", "K6+2K5", "K3", "K3", "--budget", "60")
+    doc = run_json(capsys, "minimal", "K6+3K5", "K3", "K3", "--budget", "70")
     assert doc["is_ramsey"] is True
     assert doc["is_minimal"] is False
     assert all(item["good_coloring"] is None for item in doc["per_edge"])
     verdicts = [item["verdict"] for item in doc["per_edge"]]
-    assert verdicts.count("arrows") == 20
+    assert verdicts.count("arrows") == 30
     assert verdicts.count("unknown") == 15
 
 
