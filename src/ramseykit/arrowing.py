@@ -704,11 +704,10 @@ def is_ramsey_minimal(
     deletion proven to still arrow makes F not minimal whatever the others
     return; otherwise an unknown deletion leaves the answer unknown. Raises
     like `arrows` on a budget below 1 or a host over the vertex cap."""
-    _check_search(F, G, H, budget)
-    F = F.without_isolated()
     top = arrows(F, G, H, budget=budget)
     if not top.arrows:  # does not arrow, or unknown: so is minimality
         return MinimalityReport(top.arrows, {}, top.arrows)
+    F = F.without_isolated()
     verdicts = {e: find_good_coloring(F.delete_edge(*e), G, H, budget=budget) for e in F.edges()}
     outcomes = {v.arrows for v in verdicts.values()}
     is_minimal = False if True in outcomes else None if None in outcomes else True

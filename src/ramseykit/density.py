@@ -278,16 +278,25 @@ def density_report(X: Graph, pair_with: Optional[Graph] = None) -> DensityReport
     return DensityReport(_rho(profile), m, mp)
 
 
-def _edge_probability(d: Fraction, n: int, c) -> float:
-    """c * n^(-1/d) for the pair density d, clamped to [0,1]."""
-    if n < 3:
-        raise ValueError("n must be at least 3")
+def _rational(c) -> Fraction:
+    """The threshold constant c as a Fraction: the one check that c is a
+    positive rational, made wherever a c is taken."""
     try:
         c = Fraction(c)
-    except (OverflowError, ZeroDivisionError):  # an infinite float, or a string such as '1/0'
+    except ZeroDivisionError:  # a string such as '1/0'
+        raise ValueError(f"c value {c!r} has a zero denominator") from None
+    except (OverflowError, ValueError):  # an infinite float, NaN, or no number
         raise ValueError(f"c must be a finite rational, not {c!r}") from None
     if c <= 0:
         raise ValueError("c must be positive")
+    return c
+
+
+def _edge_probability(d: Fraction, n: int, c: Fraction) -> float:
+    """c * n^(-1/d) for the pair density d and a c checked by _rational,
+    clamped to [0,1]."""
+    if n < 3:
+        raise ValueError("n must be at least 3")
     try:
         p = float(c) * float(n) ** (-1.0 / float(d))
     except OverflowError:  # n or c has no float value: the same formula in logarithms
@@ -299,4 +308,4 @@ def _edge_probability(d: Fraction, n: int, c) -> float:
 def threshold_p(G: Graph, H: Graph, n: int, c) -> float:
     """Edge probability c * n^(-1/m2(G,H)), clamped to [0,1]; floating
     point is acceptable here because it only drives the sampler."""
-    return _edge_probability(m2_pair(G, H).value, n, c)
+    return _edge_probability(m2_pair(G, H).value, n, _rational(c))

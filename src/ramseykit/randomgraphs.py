@@ -14,12 +14,11 @@ from __future__ import annotations
 
 import random
 import time
-from fractions import Fraction
 from io import StringIO
 from typing import List, Sequence
 
 from .arrowing import DEFAULT_NODE_BUDGET, arrows, check_budget
-from .density import _edge_probability, m2_pair
+from .density import _edge_probability, _rational, _require_cycles, m2_pair
 from .graphs import FrozenRecord, Graph, Record, check_targets, check_vertex_count
 
 DEFAULT_MAX_N = 24
@@ -34,31 +33,34 @@ class ExperimentConfig(FrozenRecord):
         G: Graph,
         H: Graph,
         n_values: tuple,
-        c_values: tuple,  # positive rationals (Fraction-convertible)
+        c_values: tuple,  # Fraction-convertible positive rationals, stored as Fractions
         samples: int,
         seed: int,
         node_budget: int = DEFAULT_NODE_BUDGET,
     ):
         check_targets(G, H)
+        _require_cycles(G.has_cycle(), H)
         check_budget(node_budget)
+        if not isinstance(samples, int):
+            raise ValueError(f"samples must be an integer, got {samples!r}")
         if samples < 1:
             raise ValueError("samples must be at least 1")
         if samples > DEFAULT_MAX_SAMPLES:
             raise ValueError(f"samples capped at {DEFAULT_MAX_SAMPLES}")
         low = max(G.n, H.n)
         for n in n_values:
+            if not isinstance(n, int):
+                raise ValueError(f"n values must be integers, got {n!r}")
             if n < low:
                 raise ValueError(f"n={n} is below the larger target order {low}")
             if n > DEFAULT_MAX_N:
                 raise ValueError(f"n={n} exceeds the desk-scale cap {DEFAULT_MAX_N}")
+        c_values = tuple(_rational(c) for c in c_values)
         for c in c_values:
-            try:  # Fraction fails on an infinite float or '1/0', float on c >= 2^1024
-                c = Fraction(c)
+            try:  # the CSV prints c as a float
                 float(c)
-            except (OverflowError, ZeroDivisionError):
+            except OverflowError:
                 raise ValueError("c values must have a finite float value (below 2^1024)") from None
-            if c <= 0:
-                raise ValueError("c values must be positive")
         object.__setattr__(self, "G", G)
         object.__setattr__(self, "H", H)
         object.__setattr__(self, "n_values", n_values)
@@ -137,9 +139,10 @@ def run_experiment(config: ExperimentConfig) -> List[CellResult]:
     results = []
     for n in sorted(set(config.n_values)):
         variates = [edge_uniforms(config.seed, n, i) for i in range(config.samples)]
-        for c in sorted(set(float(x) for x in config.c_values)):
+        # one cell per float value of c, the value the CSV prints
+        for c, exact in sorted({float(x): x for x in config.c_values}.items()):
             t0 = time.perf_counter()
-            p = _edge_probability(d, n, Fraction(c))
+            p = _edge_probability(d, n, exact)
             outcomes = []
             for i in range(config.samples):
                 g = graph_from_uniforms(n, p, variates[i])

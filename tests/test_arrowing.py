@@ -501,6 +501,8 @@ def test_nonpositive_budget_is_rejected():
             arrows(b("K6"), b("K3"), b("K3"), budget=budget)
         with pytest.raises(ValueError):
             find_good_coloring(b("K6"), b("K3"), b("K3"), budget=budget)
+        with pytest.raises(ValueError):
+            is_ramsey_minimal(b("K6"), b("K3"), b("K3"), budget=budget)
 
 
 def test_host_vertex_cap_is_enforced():

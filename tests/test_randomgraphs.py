@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from ramseykit import ExperimentConfig, Graph, build_from_text, results_to_csv, run_experiment, sample_gnp
@@ -162,6 +164,14 @@ def test_output_order_fixed_by_n_then_c():
     cfg = _small_config(c_values=(2.0, 0.5))
     results = run_experiment(cfg)
     assert [r.c for r in results] == [0.5, 2.0]
+
+
+def test_c_values_given_as_text_run_like_their_floats():
+    # the config holds each c as a Fraction, so run_experiment parses nothing
+    cfg = _small_config(c_values=("1/2", "2"))
+    assert cfg.c_values == (Fraction(1, 2), Fraction(2))
+    as_floats = _small_config(c_values=(0.5, 2.0))
+    assert results_to_csv(run_experiment(cfg), cfg.seed) == results_to_csv(run_experiment(as_floats), cfg.seed)
 
 
 def test_pair_density_computed_once_per_run(monkeypatch):
