@@ -1,3 +1,4 @@
+import hashlib
 import random
 import tracemalloc
 
@@ -154,6 +155,31 @@ def test_parse_spec_forms():
     assert parse_spec("K6") == Complete(6)
     assert parse_spec("S5+S2") == DisjointUnion((Star(5), Star(2)))
     assert parse_spec("2S3") == DisjointUnion((Star(3), Star(3)))
+
+
+_PIN_TERMS = [f"{count}{kind}{size}" for kind in "SKPC" for size in range(6) for count in ("", "0", "2", "3")]
+_PIN_TEXTS = [
+    "K6", "C5", "P4", "S3", "5K2", "S5+S2", "S3+122K2", "S0", "2000K2", "K2+K1", "K5", "K9", "K11", "4K2",
+    "S3+K2", "K4+K10", "K12+K12", "12K2", "512K2", "512K2+K1", "100000000K2", "S3+2K2+P3+C4+K4",
+    "2S3+0K2+C5", "255S3",
+]
+
+
+def test_expression_labels_are_pinned():
+    # every S/K/P/C term of size 0-5 with no count or count 0, 2 or 3, every
+    # sum of two of them, and the README and CI texts: the graph each builds,
+    # labels included, or the type of the error it raises
+    texts = _PIN_TERMS + [f"{a}+{b}" for a in _PIN_TERMS for b in _PIN_TERMS] + _PIN_TEXTS
+    digest = hashlib.sha256()
+    for text in texts:
+        try:
+            g = build_from_text(text)
+            got = (text, g.n, g.adj)
+        except ValueError as exc:
+            got = (text, type(exc).__name__)
+        digest.update(repr(got).encode())
+    assert len(texts) == 9336
+    assert digest.hexdigest() == "38b93229dd72c2899f7c1f3ab6b3dc2bc0e59caec2843e12aea31e948bffc9e2"
 
 
 @pytest.mark.parametrize("bad", ["", "Q5", "S", "K3++K3", "5", "C2"])
