@@ -21,19 +21,7 @@ from .classify import Classification, StarForestShape, classify, matching_extens
 from .density import DensityReport, density_report, m2, m2_pair, rho, threshold_p
 from .enumeration import MinimalCatalog, SearchBounds, catalog_density_audit, enumerate_graphs, enumerate_ramsey_minimal
 from .graph6 import Graph6Error, emit_graph6, parse_graph6
-from .graphs import (
-    Complete,
-    Cycle,
-    DisjointUnion,
-    Graph,
-    GraphSpec,
-    Matching,
-    Path,
-    Star,
-    build,
-    build_from_text,
-    parse_spec,
-)
+from .graphs import Graph, build, build_from_text, parse_spec
 from .randomgraphs import ExperimentConfig, run_experiment, results_to_csv, sample_gnp
 
 __all__ = [name for name in dir() if not name.startswith("_")]

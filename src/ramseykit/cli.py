@@ -23,7 +23,7 @@ from .classify import classify
 from .density import density_report
 from .enumeration import SearchBounds, enumerate_ramsey_minimal
 from .graph6 import parse_graph6
-from .graphs import Graph, VertexCapError, build, parse_spec
+from .graphs import Graph, build, parse_spec
 from .randomgraphs import ExperimentConfig, results_to_csv, run_experiment
 
 
@@ -35,11 +35,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _expression(text: str):
-    """The parsed expression, or None if the text is not one; too big raises."""
+    """The terms of the expression, or None if the text is not one."""
     try:
         return parse_spec(text)
-    except VertexCapError:
-        raise
     except ValueError:
         return None
 
@@ -49,12 +47,12 @@ def parse_graph_argument(text: str) -> Graph:
     file's first line is read as an expression or graph6 only, so a file
     that names itself cannot loop."""
     try:
-        spec = _expression(text)
-        if spec is None and os.path.isfile(text):
+        terms = _expression(text)
+        if terms is None and os.path.isfile(text):
             with open(text) as f:
                 text = f.readline().strip()
-            spec = _expression(text)
-        return parse_graph6(text) if spec is None else build(spec)
+            terms = _expression(text)
+        return parse_graph6(text) if terms is None else build(terms)
     except ValueError as exc:
         raise ValueError(f"cannot read graph argument {text!r}: {exc}") from exc
 

@@ -8,13 +8,16 @@ Every graph has at most MAX_VERTICES vertices, checked before any row or
 edge list is built. Searches enforce their own smaller host cap of
 DEFAULT_VERTEX_CAP non-isolated vertices. `check_targets` holds the one
 target contract: at least one edge and no isolated vertex.
+
+A graph expression such as ``S3+122K2`` parses to counted terms,
+``(count, kind, size)`` tuples; `build` checks their sizes and the vertex
+total, once, then lays out every copy's rows in one pass.
 """
 
 from __future__ import annotations
 
 import re
 from functools import cached_property
-from typing import Union
 
 MAX_VERTICES = 1024
 DEFAULT_VERTEX_CAP = 64
@@ -191,30 +194,28 @@ class Graph(FrozenRecord):
         """Apply a permutation (old label -> new label)."""
         if sorted(perm) != list(range(self.n)):
             raise ValueError("not a permutation of the vertex set")
-        adj = [0] * self.n
-        for u, v in self.edges():
-            a, b = perm[u], perm[v]
-            adj[a] |= 1 << b
-            adj[b] |= 1 << a
-        return Graph._trusted(self.n, tuple(adj))
+        order = [0] * self.n
+        for old, new in enumerate(perm):
+            order[new] = old
+        return self._renumbered(order)
 
     def induced(self, vertices) -> "Graph":
         """Induced subgraph on the given vertices, relabeled 0..k-1 in
         ascending original order. The vertices are sorted, deduplicated and
-        range-checked; `_induced_sorted` then relabels with one step per end
-        of a kept edge, wherever the dropped labels lie."""
+        range-checked; `_renumbered` then relabels with one step per end of
+        a kept edge, wherever the dropped labels lie."""
         vs = sorted(set(vertices))
         if vs and not (0 <= vs[0] and vs[-1] < self.n):
             raise ValueError(f"vertices must lie in 0..{self.n - 1}")
         if len(vs) == self.n:
             return self
-        return self._induced_sorted(vs)
+        return self._renumbered(vs)
 
-    def _induced_sorted(self, vs: list) -> "Graph":
-        """Induced subgraph on `vs`, which must be sorted, distinct and in
-        range; vertex vs[i] becomes i. Each kept row is masked to the kept
-        vertices, and each of its set bits is looked up in a table of new
-        label bits indexed by bit length (v + 1 for vertex v)."""
+    def _renumbered(self, vs: list) -> "Graph":
+        """Induced subgraph on `vs`, which must be distinct and in range, in
+        any order; vertex vs[i] becomes i. Each kept row is masked to the
+        kept vertices, and each of its set bits is looked up in a table of
+        new label bits indexed by bit length (v + 1 for vertex v)."""
         adj = self.adj
         new = [0] * (self.n + 1)
         keep = 0
@@ -242,11 +243,11 @@ class Graph(FrozenRecord):
 
     def without_isolated(self) -> "Graph":
         """Induced subgraph on the non-isolated vertices; the graph itself
-        when it has none. The kept list is sorted and in range as built,
+        when it has none. The kept list is distinct and in range as built,
         so `induced`'s checks are skipped."""
         if 0 not in self.adj:
             return self
-        return self._induced_sorted([v for v, row in enumerate(self.adj) if row])
+        return self._renumbered([v for v, row in enumerate(self.adj) if row])
 
     def connected_components(self) -> list:
         """Vertex sets of components, each a sorted list."""
@@ -293,124 +294,74 @@ def check_targets(G: Graph, H: Graph) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Graph expressions: S(r), jK2, P(n), C(n), K(n), disjoint unions
-
-
-class Star(FrozenRecord):
-    _fields = ("r",)
-
-    def __init__(self, r: int):
-        object.__setattr__(self, "r", r)
-
-
-class Matching(FrozenRecord):
-    _fields = ("j",)
-
-    def __init__(self, j: int):
-        object.__setattr__(self, "j", j)
-
-
-class Path(FrozenRecord):
-    _fields = ("n",)
-
-    def __init__(self, n: int):
-        object.__setattr__(self, "n", n)
-
-
-class Cycle(FrozenRecord):
-    _fields = ("n",)
-
-    def __init__(self, n: int):
-        object.__setattr__(self, "n", n)
-
-
-class Complete(FrozenRecord):
-    _fields = ("n",)
-
-    def __init__(self, n: int):
-        object.__setattr__(self, "n", n)
-
-
-class DisjointUnion(FrozenRecord):
-    _fields = ("parts",)
-
-    def __init__(self, parts: tuple):
-        object.__setattr__(self, "parts", parts)
-
-
-GraphSpec = Union[Star, Matching, Path, Cycle, Complete, DisjointUnion]
-
-
-def build(spec: GraphSpec) -> Graph:
-    """Materialize a graph expression; edges are generated lazily, so an
-    expression over MAX_VERTICES fails before any edge is made."""
-    if isinstance(spec, Star):
-        if spec.r < 1:
-            raise ValueError("star needs r >= 1")
-        return Graph.from_edges(spec.r + 1, ((0, i) for i in range(1, spec.r + 1)))
-    if isinstance(spec, Matching):
-        if spec.j < 0:
-            raise ValueError("matching needs j >= 0")
-        return Graph.from_edges(2 * spec.j, ((2 * i, 2 * i + 1) for i in range(spec.j)))
-    if isinstance(spec, Path):
-        if spec.n < 1:
-            raise ValueError("path needs n >= 1")
-        return Graph.from_edges(spec.n, ((i, i + 1) for i in range(spec.n - 1)))
-    if isinstance(spec, Cycle):
-        if spec.n < 3:
-            raise ValueError("cycle needs n >= 3")
-        return Graph.from_edges(spec.n, ((i, (i + 1) % spec.n) for i in range(spec.n)))
-    if isinstance(spec, Complete):
-        if spec.n < 1:
-            raise ValueError("complete graph needs n >= 1")
-        return Graph.complete(spec.n)
-    if isinstance(spec, DisjointUnion):
-        g = Graph.empty(0)
-        for part in spec.parts:
-            g = g.disjoint_union(build(part))
-        return g
-    raise TypeError(f"not a graph spec: {spec!r}")
-
+# Graph expressions: counted terms S(r), K(n), P(n), C(n) joined by "+"
 
 _TERM_RE = re.compile(r"^(\d+)?([SKPC])(\d+)$")
 
+# kind -> least size and the error for a smaller one
+_LEAST_SIZE = {
+    "S": (1, "star needs r >= 1"),
+    "K": (1, "complete graph needs n >= 1"),
+    "P": (1, "path needs n >= 1"),
+    "C": (3, "cycle needs n >= 3"),
+}
 
-def parse_spec(text: str) -> GraphSpec:
-    """Parse expression syntax like ``S5+S2``, ``122K2``, ``C5``, ``K6``, ``P4``.
 
-    A leading integer multiplies the term: ``3K2`` is a matching of size 3
-    and ``2S3`` is two disjoint copies of S(3).
+def parse_spec(text: str) -> list:
+    """Parse expression syntax like ``S5+S2``, ``122K2``, ``C5``, ``K6``, ``P4``
+    into its terms, ``(count, kind, size)`` tuples in the order written.
+
+    A leading integer counts the copies of a term: ``3K2`` is a matching of
+    size 3 and ``2S3`` is two disjoint copies of S(3). Only a K2 term may
+    have count 0. Syntax only: sizes and the vertex limit are `build`'s.
     """
     text = text.strip()
     if not text:
         raise ValueError("empty graph expression")
-    parts = []
+    terms = []
     for term in text.split("+"):
         m = _TERM_RE.match(term.strip())
         if not m:
             raise ValueError(f"cannot parse graph term {term!r}")
-        mult = int(m.group(1)) if m.group(1) else 1
-        kind, num = m.group(2), int(m.group(3))
-        if kind == "K" and num == 2:
-            parts.append(Matching(mult))
-            continue
-        if m.group(1) is not None and mult == 0:
+        count = 1 if m.group(1) is None else int(m.group(1))
+        kind, size = m.group(2), int(m.group(3))
+        if count == 0 and (kind, size) != ("K", 2):
             raise ValueError(f"zero multiplier only allowed for K2 terms: {term!r}")
-        if mult > MAX_VERTICES:  # every copy has a vertex
-            raise VertexCapError(f"{term!r} has over {MAX_VERTICES} vertices")
-        prim: GraphSpec
-        if kind == "S":
-            prim = Star(num)
-        elif kind == "K":
-            prim = Complete(num)
-        elif kind == "P":
-            prim = Path(num)
-        else:
-            prim = Cycle(num)
-        parts.extend([prim] * mult)
-    if len(parts) == 1:
-        return parts[0]
-    return DisjointUnion(tuple(parts))
+        terms.append((count, kind, size))
+    return terms
+
+
+def _copy_rows(kind: str, size: int):
+    """Adjacency rows of one copy of a term's graph on labels 0..: a star's
+    centre is 0, a path or cycle runs 0, 1, 2, ..."""
+    if kind == "S":
+        return [(1 << size + 1) - 2] + [1] * size
+    if kind == "K":
+        return Graph.complete(size).adj
+    full = (1 << size) - 1
+    rows = [(5 << v >> 1) & full for v in range(size)]  # v - 1 and v + 1
+    if kind == "C":
+        rows[0] |= 1 << size - 1
+        rows[-1] |= 1
+    return rows
+
+
+def build(terms) -> Graph:
+    """The disjoint union of the terms' copies, each at the next free labels
+    in the order given. Every size is checked, then the vertex total, once,
+    before any row is made; the rows are then laid out in one pass."""
+    for _, kind, size in terms:
+        least, error = _LEAST_SIZE[kind]
+        if size < least:
+            raise ValueError(error)
+    n = sum(count * (size + (kind == "S")) for count, kind, size in terms)
+    check_vertex_count(n)
+    adj = []
+    for count, kind, size in terms:
+        rows = _copy_rows(kind, size)
+        starts = range(len(adj), len(adj) + count * len(rows), len(rows))
+        adj += [row << base for base in starts for row in rows]
+    return Graph._trusted(n, tuple(adj))
 
 
 def build_from_text(text: str) -> Graph:

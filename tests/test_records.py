@@ -1,4 +1,4 @@
-"""The record contract of ramseykit's 24 value types: constructor forms and
+"""The record contract of ramseykit's 18 value types: constructor forms and
 defaults, constructor checks, value equality, hashing and immutability of
 the frozen types, and pickle / deepcopy round trips."""
 
@@ -51,12 +51,6 @@ CASES = [
     (enumeration.DensityAuditEntry, (C5, Fraction(1), False), ("graph", "rho_value", "passed"), {}, False),
     (enumeration.DensityAuditReport, (Fraction(1), [AUDIT_ENTRY]), ("threshold", "entries"), {}, False),
     (graphs.Graph, (3, (6, 5, 3)), ("n", "adj"), {}, True),
-    (graphs.Star, (3,), ("r",), {}, True),
-    (graphs.Matching, (3,), ("j",), {}, True),
-    (graphs.Path, (4,), ("n",), {}, True),
-    (graphs.Cycle, (5,), ("n",), {}, True),
-    (graphs.Complete, (6,), ("n",), {}, True),
-    (graphs.DisjointUnion, ((graphs.Star(3), graphs.Matching(2)),), ("parts",), {}, True),
     (randomgraphs.ExperimentConfig, (K3, K3, (6, 8), (Fraction(1, 2), 1), 5, 1, 1000),
      ("G", "H", "n_values", "c_values", "samples", "seed", "node_budget"), {"node_budget": DEFAULT_NODE_BUDGET}, True),
     (randomgraphs.CellResult, (8, 0.5, 0.25, 10, 3, 6, 1, 0.01, (True,) * 3 + (False,) * 6 + (None,)),
@@ -81,12 +75,6 @@ OTHER = {
     enumeration.DensityAuditEntry: (C5, Fraction(1), True),
     enumeration.DensityAuditReport: (Fraction(2), [AUDIT_ENTRY]),
     graphs.Graph: (3, (2, 5, 2)),
-    graphs.Star: (4,),
-    graphs.Matching: (4,),
-    graphs.Path: (5,),
-    graphs.Cycle: (6,),
-    graphs.Complete: (7,),
-    graphs.DisjointUnion: ((graphs.Star(3),),),
     randomgraphs.ExperimentConfig: (K3, K3, (6, 8), (Fraction(1, 2), 1), 5, 2, 1000),
     randomgraphs.CellResult: (8, 0.5, 0.25, 10, 3, 6, 1, 0.02, (True,) * 3 + (False,) * 6 + (None,)),
 }
@@ -95,9 +83,9 @@ IDS = [case[0].__name__ for case in CASES]
 
 
 def test_every_record_type_is_covered():
-    assert len(CASES) == 24 and len(set(IDS)) == 24
+    assert len(CASES) == 18 and len(set(IDS)) == 18
     assert set(OTHER) == {case[0] for case in CASES}
-    assert sum(case[4] for case in CASES) == 16
+    assert sum(case[4] for case in CASES) == 10
 
 
 @pytest.mark.parametrize("cls,args,names,defaults,frozen", CASES, ids=IDS)
@@ -124,7 +112,6 @@ def test_constructor_calls_made_by_callers():
     empty = arrowing.MinimalityReport(None, {}, None)
     assert (empty.is_ramsey, empty.edge_verdicts, empty.is_minimal, empty.per_edge) == (None, {}, None, {})
     assert arrowing.EdgeColoring(K3) == arrowing.EdgeColoring(K3, {}) == arrowing.EdgeColoring(K3, None)
-    assert graphs.Star(3) != graphs.Matching(3) and graphs.Path(4) != graphs.Cycle(4) != graphs.Complete(4)
 
 
 @pytest.mark.parametrize(
