@@ -117,10 +117,7 @@ def _plan(pattern: Graph):
             order.append(v)
             placed |= 1 << v
             comp.remove(v)
-    pos = [0] * pattern.n
-    for i, v in enumerate(order):
-        pos[v] = i
-    core = pattern.relabel(pos)
+    core = pattern._renumbered(order)
     anchors: List[list] = [[] for _ in range(core.n)]
     for i, j in core.edges():  # i < j
         anchors[j].append(i)

@@ -67,9 +67,7 @@ class CanonicalForm(FrozenRecord):
     def __init__(self, certificate: bytes, permutation: tuple, automorphisms: tuple):
         # permutation: old label -> new label; automorphisms: generators of
         # Aut, each new label -> new label
-        object.__setattr__(self, "certificate", certificate)
-        object.__setattr__(self, "permutation", permutation)
-        object.__setattr__(self, "automorphisms", automorphisms)
+        self._set(certificate, permutation, automorphisms)
 
 
 def _refine(adj, cells):

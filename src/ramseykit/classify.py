@@ -41,8 +41,7 @@ class StarForestShape(FrozenRecord):
     _fields = ("stars", "matching_count")
 
     def __init__(self, stars: tuple, matching_count: int):
-        object.__setattr__(self, "stars", stars)
-        object.__setattr__(self, "matching_count", matching_count)
+        self._set(stars, matching_count)
 
     @property
     def s(self) -> int:
@@ -53,18 +52,14 @@ class TrailEntry(FrozenRecord):
     _fields = ("rule", "citation", "reason")
 
     def __init__(self, rule: str, citation: str, reason: str):
-        object.__setattr__(self, "rule", rule)
-        object.__setattr__(self, "citation", citation)
-        object.__setattr__(self, "reason", reason)
+        self._set(rule, citation, reason)
 
 
 class Classification(FrozenRecord):
     _fields = ("verdict", "trail", "condition")
 
     def __init__(self, verdict: str, trail: tuple, condition: Optional[str] = None):
-        object.__setattr__(self, "verdict", verdict)
-        object.__setattr__(self, "trail", trail)
-        object.__setattr__(self, "condition", condition)
+        self._set(verdict, trail, condition)
 
     def to_document(self) -> dict:
         doc = {

@@ -48,8 +48,7 @@ class DensityValue(FrozenRecord):
 
     def __init__(self, value: Fraction, witness: tuple):
         # witness: vertex subset achieving the maximum
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "witness", witness)
+        self._set(value, witness)
 
 
 class PairDensity(FrozenRecord):
@@ -58,18 +57,14 @@ class PairDensity(FrozenRecord):
     def __init__(self, value: Fraction, witness: tuple, swapped: bool):
         # witness: subset of the larger-m2 graph; swapped: True if the roles
         # of (G,H) were interchanged
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "witness", witness)
-        object.__setattr__(self, "swapped", swapped)
+        self._set(value, witness, swapped)
 
 
 class DensityReport(FrozenRecord):
     _fields = ("rho", "m2", "m2_pair")
 
     def __init__(self, rho: DensityValue, m2: Optional[DensityValue], m2_pair: Optional[PairDensity]):
-        object.__setattr__(self, "rho", rho)
-        object.__setattr__(self, "m2", m2)
-        object.__setattr__(self, "m2_pair", m2_pair)
+        self._set(rho, m2, m2_pair)
 
 
 def _check_size(X: Graph):

@@ -66,9 +66,7 @@ class SearchBounds(FrozenRecord):
         if max_vertices > DEFAULT_VERTEX_CAP:
             raise ValueError(f"max_vertices exceeds vertex cap {DEFAULT_VERTEX_CAP}")
         check_budget(node_budget)
-        object.__setattr__(self, "max_vertices", max_vertices)
-        object.__setattr__(self, "max_edges", max_edges)
-        object.__setattr__(self, "node_budget", node_budget)
+        self._set(max_vertices, max_edges, node_budget)
 
 
 def _close(item, image, gens, seen: set) -> None:

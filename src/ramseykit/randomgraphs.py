@@ -61,13 +61,7 @@ class ExperimentConfig(FrozenRecord):
                 float(c)
             except OverflowError:
                 raise ValueError("c values must have a finite float value (below 2^1024)") from None
-        object.__setattr__(self, "G", G)
-        object.__setattr__(self, "H", H)
-        object.__setattr__(self, "n_values", n_values)
-        object.__setattr__(self, "c_values", c_values)
-        object.__setattr__(self, "samples", samples)
-        object.__setattr__(self, "seed", seed)
-        object.__setattr__(self, "node_budget", node_budget)
+        self._set(G, H, n_values, c_values, samples, seed, node_budget)
 
 
 class CellResult(Record):
@@ -128,7 +122,6 @@ def sample_gnp(n: int, p: float, seed: int = 0, sample_index: int = 0) -> Graph:
     probability p, reproducible from (seed, n, sample_index)."""
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0,1]")
-    check_vertex_count(n)  # before drawing the n(n-1)/2 uniforms
     return graph_from_uniforms(n, p, edge_uniforms(seed, n, sample_index))
 
 

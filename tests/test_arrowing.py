@@ -105,6 +105,21 @@ def test_copy_lists_are_pinned():
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16] == "40b7c91364dd159a"
 
 
+@pytest.mark.parametrize("name", PATTERNS + ["4K2", "2K3+K2", "S3+3K2"])
+def test_plan_is_the_pattern_relabeled_by_visit_position(name):
+    # vertex order[i] of the pattern is position i of core; anchors[i] lists
+    # the earlier positions adjacent to i, and need[i] is the degree of i
+    P = b(name)
+    order, core, anchors, need = _plan(P)
+    assert sorted(order) == list(range(P.n))
+    pos = [0] * P.n
+    for i, v in enumerate(order):
+        pos[v] = i
+    assert core == P.relabel(pos)
+    assert anchors == tuple(tuple(j for j in range(i) if core.has_edge(i, j)) for i in range(core.n))
+    assert need == tuple(core.degree(i) for i in range(core.n))
+
+
 def test_every_copy_is_filed_under_exactly_its_own_edges():
     # the kernel builds the edge table at the first copy, and not on a host
     # without one: the non-isolated vertices ranked by descending degree,

@@ -40,8 +40,13 @@ def test_build_union():
     assert len(g.connected_components()) == 2
 
 
-@pytest.mark.parametrize("bad", ["C2", "S0", "0S3", "P0", "K0"])
+@pytest.mark.parametrize("bad", ["C2", "S0", "0S3", "P0", "K0", pytest.param([(1, "X", 2)], id="1-X-2")])
 def test_build_invalid_primitives(bad):
+    # a term list goes to `build` directly, and an unknown kind is named
+    if isinstance(bad, list):
+        with pytest.raises(ValueError, match="'X'"):
+            build(bad)
+        return
     with pytest.raises(ValueError):
         build_from_text(bad)
 

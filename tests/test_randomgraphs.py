@@ -21,23 +21,21 @@ def test_p_out_of_range():
         sample_gnp(8, 1.5)
 
 
-def test_vertex_cap_is_checked_before_any_uniform_is_drawn(monkeypatch):
-    def no_draws(seed, n, sample_index):
-        raise AssertionError(f"drew the uniforms of n = {n}")
+class _NoStream:
+    def Random(self, key):
+        raise AssertionError(f"seeded a stream for {key}")
 
-    # drawing 10^9 vertices' uniforms would not finish; the cap answers at once
-    monkeypatch.setattr(randomgraphs, "edge_uniforms", no_draws)
+
+def test_vertex_cap_is_checked_before_any_uniform_is_drawn(monkeypatch):
+    # drawing 10^9 vertices' uniforms would not finish; the cap answers at
+    # once, before any stream is seeded
+    monkeypatch.setattr(randomgraphs, "random", _NoStream())
     with pytest.raises(VertexCapError):
         sample_gnp(10**9, 0.5)
     with pytest.raises(VertexCapError):
         sample_gnp(1025, 0.5)
     with pytest.raises(ValueError, match="nonnegative"):
         sample_gnp(-1, 0.5)
-
-
-class _NoStream:
-    def Random(self, key):
-        raise AssertionError(f"seeded a stream for {key}")
 
 
 def test_edge_uniforms_checks_the_vertex_count_before_drawing(monkeypatch):
