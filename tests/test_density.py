@@ -246,3 +246,44 @@ def test_matches_subset_oracle_on_random_graphs():
             for index in range(2):
                 _check_against_subset_oracle(sample_gnp(n, p, seed=n, sample_index=index), swaps)
     assert swaps == {False, True}
+
+
+CONTRACT_SAMPLE = [b(t) for t in ("K3", "C5", "P4", "3K2", "K4+K10")] + [
+    sample_gnp(9, 0.4, seed=s) for s in (1, 2, 3)
+]
+
+
+def test_readers_equal_the_density_report_fields():
+    # rho, m2 and m2_pair each give what density_report gives: value,
+    # witness and, for the pair, the swap flag
+    cyclic = [X for X in CONTRACT_SAMPLE if X.has_cycle()]
+    assert len(cyclic) >= 4
+    for X in CONTRACT_SAMPLE:
+        report = density_report(X)
+        assert rho(X) == report.rho
+        assert m2(X) == report.m2
+        assert report.m2_pair is None
+    for G in cyclic:
+        for H in cyclic:
+            paired = density_report(G, pair_with=H)
+            assert m2_pair(G, H) == paired.m2_pair
+            assert (paired.rho, paired.m2) == (rho(G), m2(G))
+
+
+def test_density_edge_rules():
+    long_path, empty, over_cap = b("P30"), Graph(0, ()), b("C25")
+    # an acyclic graph has no m2, even above the subset cap
+    assert m2(long_path) is None
+    assert m2(empty) is None
+    for X in (long_path, empty, over_cap):
+        with pytest.raises(ValueError):
+            rho(X)
+        with pytest.raises(ValueError):
+            density_report(X)
+    with pytest.raises(ValueError):
+        m2(over_cap)
+    for G, H in ((b("K3"), b("P4")), (b("P4"), b("K3")), (b("P4"), b("P4"))):
+        with pytest.raises(ValueError, match="contain a cycle"):
+            m2_pair(G, H)
+        with pytest.raises(ValueError, match="contain a cycle"):
+            density_report(G, pair_with=H)
