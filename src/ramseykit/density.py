@@ -19,9 +19,11 @@ memoryview operations with no Python step per subset: about 0.06-0.1 ms
 at 10 vertices and 0.07-0.09 s at the 24-vertex cap, with a traced peak
 under 80 KB, on a 2-core VM with Python 3.11 (BENCH_26.json). Each
 parameter is then read from the profile in n+1 integer cross-multiplications
-and one Fraction, and one profile serves rho, m2 and the pair value. No
-floating point appears in any parameter value; floats enter only in the
-sampler's edge probability.
+and one Fraction, and one profile serves rho, m2 and the pair value.
+density_report applies the vertex, cap and cycle rules once and composes
+the three values; rho, m2 and m2_pair read its fields. No floating point
+appears in any parameter value; floats enter only in the sampler's edge
+probability.
 """
 
 from __future__ import annotations
@@ -211,12 +213,8 @@ def _best(profile, min_size: int, score) -> DensityValue:
     return DensityValue(Fraction(num, den), _subset_vertices(best_mask[top]))
 
 
-def _rho(profile) -> DensityValue:
-    return _best(profile, 1, lambda e, v: (e, v))
-
-
-def _m2(profile) -> DensityValue:
-    return _best(profile, 3, lambda e, v: (e - 1, v - 2))
+def _m2_score(e: int, v: int) -> Tuple[int, int]:
+    return e - 1, v - 2
 
 
 def _require_cycles(G_has_cycle: bool, H: Graph):
@@ -224,53 +222,48 @@ def _require_cycles(G_has_cycle: bool, H: Graph):
         raise ValueError("m2_pair requires both graphs to contain a cycle")
 
 
-def _m2_pair(profile_G, m2G: Fraction, profile_H) -> PairDensity:
-    """m2(G,H) from two profiles and m2(G), both graphs with a cycle."""
-    m2H = _m2(profile_H).value
-    swapped = m2G < m2H
-    if swapped:
-        profile_G, m2H = profile_H, m2G
-    # e/(v-2+1/m2(H)) = e*p/((v-2)*p+q) for m2(H) = p/q
-    p, q = m2H.numerator, m2H.denominator
-    best = _best(profile_G, 2, lambda e, v: (e * p, (v - 2) * p + q))
-    return PairDensity(best.value, best.witness, swapped)
+def density_report(X: Graph, pair_with: Optional[Graph] = None) -> DensityReport:
+    """rho, m2 and, given pair_with, m2(X, pair_with), from one pass over X
+    and one over pair_with."""
+    cyclic = X.has_cycle()
+    if pair_with is not None:
+        _require_cycles(cyclic, pair_with)
+    if X.n < 1:
+        raise ValueError("rho needs at least one vertex")
+    profile = _profile(X)
+    m = _best(profile, 3, _m2_score) if cyclic else None
+    mp = None
+    if pair_with is not None:
+        # order the pair so that m2(G) >= m2(H)
+        profile_H = _profile(pair_with)
+        m2H = _best(profile_H, 3, _m2_score).value
+        swapped = m.value < m2H
+        profile_G, m2H = (profile_H, m.value) if swapped else (profile, m2H)
+        # e/(v-2+1/m2(H)) = e*p/((v-2)*p+q) for m2(H) = p/q
+        p, q = m2H.numerator, m2H.denominator
+        best = _best(profile_G, 2, lambda e, v: (e * p, (v - 2) * p + q))
+        mp = PairDensity(best.value, best.witness, swapped)
+    return DensityReport(_best(profile, 1, lambda e, v: (e, v)), m, mp)
 
 
 def rho(X: Graph) -> DensityValue:
     """Maximum of e(J)/v(J) over subgraphs J with at least one vertex."""
-    if X.n < 1:
-        raise ValueError("rho needs at least one vertex")
-    return _rho(_profile(X))
+    return density_report(X).rho
 
 
 def m2(X: Graph) -> Optional[DensityValue]:
     """Maximum of (e(J)-1)/(v(J)-2) over subgraphs with >= 3 vertices;
     defined only when X contains a cycle."""
-    if not X.has_cycle():
+    if not X.has_cycle():  # before the subset cap: an acyclic X of any size has no m2
         return None
-    return _m2(_profile(X))
+    return density_report(X).m2
 
 
 def m2_pair(G: Graph, H: Graph) -> PairDensity:
     """The asymmetric density parameter: maximize e(J)/(v(J)-2+1/m2(H))
     over subgraphs J of G with >= 2 vertices, after ordering the pair so
     that m2(G) >= m2(H). Both graphs must contain a cycle."""
-    _require_cycles(G.has_cycle(), H)
-    profile = _profile(G)
-    return _m2_pair(profile, _m2(profile).value, _profile(H))
-
-
-def density_report(X: Graph, pair_with: Optional[Graph] = None) -> DensityReport:
-    """rho, m2 and, given pair_with, m2(X, pair_with), from one pass over X."""
-    if X.n < 1:
-        raise ValueError("rho needs at least one vertex")
-    cyclic = X.has_cycle()
-    if pair_with is not None:
-        _require_cycles(cyclic, pair_with)
-    profile = _profile(X)
-    m = _m2(profile) if cyclic else None
-    mp = None if pair_with is None else _m2_pair(profile, m.value, _profile(pair_with))
-    return DensityReport(_rho(profile), m, mp)
+    return density_report(G, pair_with=H).m2_pair
 
 
 def _rational(c) -> Fraction:

@@ -199,6 +199,7 @@ class Graph(FrozenRecord):
 
     def relabel(self, perm) -> "Graph":
         """Apply a permutation (old label -> new label)."""
+        perm = tuple(perm)
         if sorted(perm) != list(range(self.n)):
             raise ValueError("not a permutation of the vertex set")
         order = [0] * self.n
@@ -355,9 +356,13 @@ def _copy_rows(kind: str, size: int):
 
 def build(terms) -> Graph:
     """The disjoint union of the terms' copies, each at the next free labels
-    in the order given. Every size is checked, then the vertex total, once,
-    before any row is made; the rows are then laid out in one pass."""
-    for _, kind, size in terms:
+    in the order given. Every count and size is checked, then the vertex
+    total, once, before any row is made; the rows are then laid out in one
+    pass."""
+    terms = list(terms)
+    for count, kind, size in terms:
+        if count < 0:
+            raise ValueError(f"term count must be at least 0, got {count}")
         if kind not in _LEAST_SIZE:
             raise ValueError(f"unknown graph kind {kind!r}; expected one of S, K, P, C")
         least, error = _LEAST_SIZE[kind]

@@ -32,12 +32,13 @@ class ExperimentConfig(FrozenRecord):
         self,
         G: Graph,
         H: Graph,
-        n_values: tuple,
+        n_values: tuple,  # integers, read once and stored as a tuple
         c_values: tuple,  # Fraction-convertible positive rationals, stored as Fractions
         samples: int,
         seed: int,
         node_budget: int = DEFAULT_NODE_BUDGET,
     ):
+        n_values = tuple(n_values)
         check_targets(G, H)
         _require_cycles(G.has_cycle(), H)
         check_budget(node_budget)

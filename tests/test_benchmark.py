@@ -8,7 +8,7 @@ import pytest
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-@pytest.mark.parametrize("workload", ["exact", "catalog", "threshold"])
+@pytest.mark.parametrize("workload", ["exact", "catalog", "threshold", "density"])
 def test_traced_workload_runs_and_is_correct(workload):
     # the benchmark traces the library by its public names and result
     # fields; a change to either should fail here, not only in a benchmark run
@@ -23,6 +23,10 @@ def test_traced_workload_runs_and_is_correct(workload):
     metrics = {name: m["value"] for name, m in result["metrics"].items()}
     if workload == "exact":
         assert metrics["arrowing.calls"] > 0
+    elif workload == "density":
+        # the workload calls density_report alone, which the trace times
+        # but does not count among the density calls
+        assert metrics["density.self_s"] > 0
     elif workload == "threshold":
         # the search's work on seed 1: a change to the copy, edge or decision
         # order moves the node count

@@ -40,15 +40,35 @@ def test_build_union():
     assert len(g.connected_components()) == 2
 
 
-@pytest.mark.parametrize("bad", ["C2", "S0", "0S3", "P0", "K0", pytest.param([(1, "X", 2)], id="1-X-2")])
+@pytest.mark.parametrize(
+    "bad",
+    [
+        "C2",
+        "S0",
+        "0S3",
+        "P0",
+        "K0",
+        pytest.param(([(1, "X", 2)], "'X'"), id="1-X-2"),
+        pytest.param(([(2, "K", 3), (-1, "K", 2)], "-1"), id="negative-count"),
+    ],
+)
 def test_build_invalid_primitives(bad):
-    # a term list goes to `build` directly, and an unknown kind is named
-    if isinstance(bad, list):
-        with pytest.raises(ValueError, match="'X'"):
-            build(bad)
+    # a term list goes to `build` directly, and the bad kind or count is named
+    if isinstance(bad, tuple):
+        terms, named = bad
+        with pytest.raises(ValueError, match=named):
+            build(terms)
         return
     with pytest.raises(ValueError):
         build_from_text(bad)
+
+
+def test_one_shot_iterables_are_read_once():
+    # a second walk of a spent iterator would see nothing and still make a
+    # valid graph, so each result is compared with the list form's
+    p3 = build_from_text("P3")
+    assert p3.relabel(iter([2, 1, 0])) == p3.relabel([2, 1, 0])
+    assert build(iter([(1, "K", 3)])) == build([(1, "K", 3)]) == build_from_text("K3")
 
 
 def test_delete_edge_triangle_gives_path():

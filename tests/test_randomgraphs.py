@@ -172,6 +172,18 @@ def test_c_values_given_as_text_run_like_their_floats():
     assert results_to_csv(run_experiment(cfg), cfg.seed) == results_to_csv(run_experiment(as_floats), cfg.seed)
 
 
+def test_n_values_are_read_once_and_held_as_a_tuple():
+    # an iterator is not spent by the checks, and a list makes a hashable
+    # config equal to the one built from a tuple
+    K3 = b("K3")
+    cfg = ExperimentConfig(K3, K3, iter([6, 7]), (1,), 3, 1)
+    assert cfg.n_values == (6, 7)
+    from_list = ExperimentConfig(K3, K3, [6, 7], (1,), 3, 1)
+    assert cfg == from_list == ExperimentConfig(K3, K3, (6, 7), (1,), 3, 1)
+    assert hash(cfg) == hash(from_list)
+    assert [r.n for r in run_experiment(cfg)] == [6, 7]
+
+
 def test_pair_density_computed_once_per_run(monkeypatch):
     import ramseykit.randomgraphs as rg
     from ramseykit import threshold_p
