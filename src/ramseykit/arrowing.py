@@ -678,15 +678,25 @@ def naive_arrows(F: Graph, G: Graph, H: Graph) -> bool:
 
 
 class MinimalityReport(Record):
-    _fields = ("is_ramsey", "edge_verdicts", "is_minimal")
+    _fields = ("is_ramsey", "edge_verdicts")
 
     def __init__(
         self,
         is_ramsey: Optional[bool],
         edge_verdicts: Dict[Tuple[int, int], ArrowVerdict],  # the search of F - e, per edge
-        is_minimal: Optional[bool],
     ):
-        self.is_ramsey, self.edge_verdicts, self.is_minimal = is_ramsey, edge_verdicts, is_minimal
+        self.is_ramsey, self.edge_verdicts = is_ramsey, edge_verdicts
+
+    @property
+    def is_minimal(self) -> Optional[bool]:
+        """F arrows and every single-edge deletion stops arrowing. When F
+        does not arrow, or is unknown, so is minimality. One deletion proven
+        to still arrow makes F not minimal whatever the others return;
+        otherwise an unknown deletion leaves the answer unknown."""
+        if not self.is_ramsey:
+            return self.is_ramsey
+        outcomes = {v.arrows for v in self.edge_verdicts.values()}
+        return False if True in outcomes else None if None in outcomes else True
 
     @property
     def per_edge(self) -> Dict[Tuple[int, int], Optional[EdgeColoring]]:
@@ -697,18 +707,16 @@ class MinimalityReport(Record):
 def is_ramsey_minimal(
     F: Graph, G: Graph, H: Graph, budget: int = DEFAULT_NODE_BUDGET
 ) -> MinimalityReport:
-    """F arrows (G,H) and every single-edge deletion stops arrowing. One
-    deletion proven to still arrow makes F not minimal whatever the others
-    return; otherwise an unknown deletion leaves the answer unknown. Raises
-    like `arrows` on a budget below 1 or a host over the vertex cap."""
+    """Whether F is Ramsey-minimal for (G,H), by the rule of
+    `MinimalityReport.is_minimal`: F is searched, and if it arrows, each
+    F - e is. Raises like `arrows` on a budget below 1 or a host over the
+    vertex cap."""
     top = arrows(F, G, H, budget=budget)
-    if not top.arrows:  # does not arrow, or unknown: so is minimality
-        return MinimalityReport(top.arrows, {}, top.arrows)
+    if not top.arrows:
+        return MinimalityReport(top.arrows, {})
     F = F.without_isolated()
     verdicts = {e: find_good_coloring(F.delete_edge(*e), G, H, budget=budget) for e in F.edges()}
-    outcomes = {v.arrows for v in verdicts.values()}
-    is_minimal = False if True in outcomes else None if None in outcomes else True
-    return MinimalityReport(True, verdicts, is_minimal)
+    return MinimalityReport(True, verdicts)
 
 
 def ramsey_number_complete(

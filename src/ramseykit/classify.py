@@ -207,8 +207,9 @@ def matching_extension_check(G: Graph, H: Graph, ell: int, m: int) -> Classifica
     side_g, side_h = _shape_and_cycle(G), _shape_and_cycle(H)
     if _decide(side_g, side_h).verdict != FINITE:
         raise ValueError("matching_extension_check requires a Finite base pair")
-    if ell < 0 or m < 0:
-        raise ValueError("matching needs j >= 0")
+    for j in (ell, m):
+        if not isinstance(j, int) or j < 0:
+            raise ValueError(f"matching needs j >= 0, an integer; got {j!r}")
     result = _decide(_adjoin_matching(side_g, ell), _adjoin_matching(side_h, m))
     if result.verdict == INFINITE:
         raise ConsistencyError(

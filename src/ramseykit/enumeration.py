@@ -61,6 +61,9 @@ class SearchBounds(FrozenRecord):
     _fields = ("max_vertices", "max_edges", "node_budget")
 
     def __init__(self, max_vertices: int, max_edges: int, node_budget: int = DEFAULT_NODE_BUDGET):
+        for bound in (max_vertices, max_edges):
+            if not isinstance(bound, int):
+                raise ValueError(f"bounds must be integers, got {bound!r}")
         if max_vertices < 0 or max_edges < 0:
             raise ValueError("bounds must be nonnegative")
         if max_vertices > DEFAULT_VERTEX_CAP:
@@ -309,37 +312,27 @@ def enumerate_ramsey_minimal(G: Graph, H: Graph, bounds: SearchBounds) -> Minima
         report = is_ramsey_minimal(F, G, H, budget=budget)
         if report.is_ramsey:
             closed.add(F)
-        if report.is_minimal is None:
+        minimal = report.is_minimal
+        if minimal is None:
             complete = False
-        elif report.is_minimal:
+        elif minimal:
             members.append(CatalogMember(F, report))
     return MinimalCatalog((G, H), bounds, members, complete)
 
 
-class DensityAuditEntry(Record):
-    _fields = ("graph", "rho_value", "passed")
-
-    def __init__(self, graph: Graph, rho_value: object, passed: bool):  # rho_value: a Fraction
-        self.graph, self.rho_value, self.passed = graph, rho_value, passed
-
-
 class DensityAuditReport(Record):
-    _fields = ("threshold", "entries")
+    _fields = ("threshold", "rho_values")
 
-    def __init__(self, threshold: object, entries: List[DensityAuditEntry]):  # threshold: the pair density
-        self.threshold, self.entries = threshold, entries
+    def __init__(self, threshold: object, rho_values: List[object]):  # m2(G,H), and rho per member: Fractions
+        self.threshold, self.rho_values = threshold, rho_values
 
     @property
     def all_pass(self) -> bool:
-        return all(e.passed for e in self.entries)
+        return all(r > self.threshold for r in self.rho_values)
 
 
 def catalog_density_audit(catalog: MinimalCatalog, G: Graph, H: Graph) -> DensityAuditReport:
-    """Check rho(F) > m2(G,H) for every catalog member; a violation would
-    signal an implementation bug, not new mathematics."""
-    d = m2_pair(G, H).value
-    entries = []
-    for member in catalog.members:
-        r = rho(member.graph).value
-        entries.append(DensityAuditEntry(member.graph, r, r > d))
-    return DensityAuditReport(d, entries)
+    """rho(F) of every catalog member, in member order, against m2(G,H);
+    a member with rho(F) <= m2(G,H) would signal an implementation bug,
+    not new mathematics."""
+    return DensityAuditReport(m2_pair(G, H).value, [rho(m.graph).value for m in catalog.members])

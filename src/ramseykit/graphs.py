@@ -361,6 +361,9 @@ def build(terms) -> Graph:
     pass."""
     terms = list(terms)
     for count, kind, size in terms:
+        for value in (count, size):
+            if not isinstance(value, int):
+                raise ValueError(f"term count and size must be integers, got {value!r}")
         if count < 0:
             raise ValueError(f"term count must be at least 0, got {count}")
         if kind not in _LEAST_SIZE:

@@ -13,7 +13,6 @@ side.
 from __future__ import annotations
 
 import random
-import time
 from io import StringIO
 from typing import List, Sequence
 
@@ -66,22 +65,30 @@ class ExperimentConfig(FrozenRecord):
 
 
 class CellResult(Record):
-    _fields = ("n", "c", "p", "samples", "hits", "misses", "unknowns", "elapsed", "outcomes")
+    """One (n, c) cell: the edge probability p and the per-sample verdicts,
+    index-aligned (True arrows, False does not, None budget-limited). The
+    counts the CSV prints are read from `outcomes`."""
 
-    def __init__(
-        self,
-        n: int,
-        c: float,
-        p: float,
-        samples: int,
-        hits: int,
-        misses: int,
-        unknowns: int,
-        elapsed: float,
-        outcomes: tuple,  # per-sample True / False / None, index-aligned
-    ):
-        self.n, self.c, self.p, self.samples, self.hits = n, c, p, samples, hits
-        self.misses, self.unknowns, self.elapsed, self.outcomes = misses, unknowns, elapsed, outcomes
+    _fields = ("n", "c", "p", "outcomes")
+
+    def __init__(self, n: int, c: float, p: float, outcomes: tuple):
+        self.n, self.c, self.p, self.outcomes = n, c, p, outcomes
+
+    @property
+    def samples(self) -> int:
+        return len(self.outcomes)
+
+    @property
+    def hits(self) -> int:
+        return self.outcomes.count(True)
+
+    @property
+    def misses(self) -> int:
+        return self.outcomes.count(False)
+
+    @property
+    def unknowns(self) -> int:
+        return self.outcomes.count(None)
 
     @property
     def estimate(self) -> float:
@@ -135,29 +142,12 @@ def run_experiment(config: ExperimentConfig) -> List[CellResult]:
         variates = [edge_uniforms(config.seed, n, i) for i in range(config.samples)]
         # one cell per float value of c, the value the CSV prints
         for c, exact in sorted({float(x): x for x in config.c_values}.items()):
-            t0 = time.perf_counter()
             p = _edge_probability(d, n, exact)
-            outcomes = []
-            for i in range(config.samples):
-                g = graph_from_uniforms(n, p, variates[i])
-                verdict = arrows(g, config.G, config.H, budget=config.node_budget)
-                outcomes.append(verdict.arrows)
-            hits = sum(1 for o in outcomes if o is True)
-            misses = sum(1 for o in outcomes if o is False)
-            unknowns = sum(1 for o in outcomes if o is None)
-            results.append(
-                CellResult(
-                    n=n,
-                    c=c,
-                    p=p,
-                    samples=config.samples,
-                    hits=hits,
-                    misses=misses,
-                    unknowns=unknowns,
-                    elapsed=time.perf_counter() - t0,
-                    outcomes=tuple(outcomes),
-                )
+            outcomes = tuple(
+                arrows(graph_from_uniforms(n, p, u), config.G, config.H, budget=config.node_budget).arrows
+                for u in variates
             )
+            results.append(CellResult(n, c, p, outcomes))
     return results
 
 

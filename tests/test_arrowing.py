@@ -9,8 +9,10 @@ import pytest
 
 from oracles import dict_is_good, vf2_automorphisms, vf2_copy_count
 from ramseykit import (
+    ArrowVerdict,
     EdgeColoring,
     Graph,
+    MinimalityReport,
     SearchBounds,
     arrows,
     build_from_text,
@@ -454,6 +456,26 @@ def test_unknown_deletions_without_a_proof_leave_minimality_unknown():
     assert rep.is_ramsey is True
     assert rep.is_minimal is None
     assert all(w is None for w in rep.per_edge.values())
+
+
+_WITNESS = ArrowVerdict(False, EdgeColoring(b("K2"), {(0, 1): "red"}), 1, 0.0)
+_ARROWS = ArrowVerdict(True, None, 1, 0.0)
+_UNKNOWN = ArrowVerdict(None, None, 1, 0.0)
+
+
+@pytest.mark.parametrize(
+    "is_ramsey,verdicts,want",
+    [
+        (False, {}, False),
+        (None, {}, None),
+        (True, {(0, 1): _WITNESS}, True),
+        (True, {(0, 1): _ARROWS}, False),
+        (True, {(0, 1): _UNKNOWN, (0, 2): _WITNESS}, None),
+    ],
+    ids=["not-ramsey", "unknown-top", "witness", "still-arrows", "unknown-deletion"],
+)
+def test_is_minimal_is_read_from_the_verdicts(is_ramsey, verdicts, want):
+    assert MinimalityReport(is_ramsey, verdicts).is_minimal is want
 
 
 def test_ramsey_numbers():

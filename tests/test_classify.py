@@ -167,7 +167,7 @@ def test_matching_extension_past_the_vertex_cap_is_decided():
 
 
 def test_matching_extension_rejects_negative_counts():
-    for ell, m in ((-1, 0), (0, -1)):
+    for ell, m in ((-1, 0), (0, -1), (0.5, 0), (0, 1.5)):
         with pytest.raises(ValueError, match="matching needs j >= 0"):
             matching_extension_check(b("S3"), b("S3"), ell, m)
 

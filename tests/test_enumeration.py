@@ -310,7 +310,7 @@ def test_candidates_with_unknown_verdicts_are_still_grown(monkeypatch):
 
     def unknown_up_to_two_edges(F, G, H, budget):
         if F.edge_count <= 2:
-            return MinimalityReport(None, {}, None)
+            return MinimalityReport(None, {})
         return real(F, G, H, budget=budget)
 
     monkeypatch.setattr(enumeration, "is_ramsey_minimal", unknown_up_to_two_edges)

@@ -50,10 +50,13 @@ def test_build_union():
         "K0",
         pytest.param(([(1, "X", 2)], "'X'"), id="1-X-2"),
         pytest.param(([(2, "K", 3), (-1, "K", 2)], "-1"), id="negative-count"),
+        pytest.param(([(1.5, "K", 3)], "1.5"), id="float-count"),
+        pytest.param(([(1, "K", 3.0)], "3.0"), id="float-size"),
+        pytest.param(([(1, "K", "3")], "'3'"), id="str-size"),
     ],
 )
 def test_build_invalid_primitives(bad):
-    # a term list goes to `build` directly, and the bad kind or count is named
+    # a term list goes to `build` directly, and the bad kind, count or size is named
     if isinstance(bad, tuple):
         terms, named = bad
         with pytest.raises(ValueError, match=named):

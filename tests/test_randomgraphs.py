@@ -150,6 +150,14 @@ def test_csv_byte_identical_across_runs():
     assert csv1.splitlines()[0] == "n,c,p,samples,hits,misses,unknowns,estimate,seed"
 
 
+def test_samples_column_counts_the_outcomes():
+    # samples=True passes the integer check; the CSV prints the count, 1
+    K3 = b("K3")
+    (row,) = results_to_csv(run_experiment(ExperimentConfig(K3, K3, (6,), (1,), True, 0)), 0).splitlines()[1:]
+    n, c, p, samples, hits, misses, unknowns, estimate, seed = row.split(",")
+    assert samples == "1" and int(hits) + int(misses) + int(unknowns) == 1
+
+
 def test_unknowns_counted_not_guessed():
     results = run_experiment(_small_config(c_values=(2.0,), node_budget=1))
     (r,) = results

@@ -1,4 +1,4 @@
-"""The record contract of ramseykit's 18 value types: constructor forms and
+"""The record contract of ramseykit's 17 value types: constructor forms and
 defaults, constructor checks, value equality, hashing and immutability of
 the frozen types, and pickle / deepcopy round trips."""
 
@@ -23,18 +23,17 @@ K2 = graphs.build_from_text("K2")
 C5 = graphs.build_from_text("C5")
 COLORING = arrowing.EdgeColoring(K3, {(0, 1): RED, (0, 2): BLUE, (1, 2): RED})
 VERDICT = arrowing.ArrowVerdict(False, COLORING, 7, 0.5)
-REPORT = arrowing.MinimalityReport(True, {(0, 1): VERDICT}, False)
+REPORT = arrowing.MinimalityReport(True, {(0, 1): VERDICT})
 BOUNDS = enumeration.SearchBounds(5, 6, 1000)
 MEMBER = enumeration.CatalogMember(C5, REPORT)
 RHO = density.DensityValue(Fraction(1), (0, 1, 2))
-AUDIT_ENTRY = enumeration.DensityAuditEntry(C5, Fraction(1), False)
 
 # (type, constructor arguments in parameter order, parameter names,
 #  defaults, frozen); each argument list differs from `OTHER` below
 CASES = [
     (arrowing.EdgeColoring, (K3, {(0, 1): RED}), ("host", "assignment"), {"assignment": None}, False),
     (arrowing.ArrowVerdict, (False, COLORING, 7, 0.5), ("arrows", "witness", "nodes", "elapsed"), {}, False),
-    (arrowing.MinimalityReport, (True, {(0, 1): VERDICT}, False), ("is_ramsey", "edge_verdicts", "is_minimal"), {}, False),
+    (arrowing.MinimalityReport, (True, {(0, 1): VERDICT}), ("is_ramsey", "edge_verdicts"), {}, False),
     (canon.CanonicalForm, (b"\x03", (0, 1, 2), ((1, 0, 2),)), ("certificate", "permutation", "automorphisms"), {}, True),
     (classify.StarForestShape, ((3, 2), 1), ("stars", "matching_count"), {}, True),
     (classify.TrailEntry, ("R1", "a citation", "a reason"), ("rule", "citation", "reason"), {}, True),
@@ -48,20 +47,19 @@ CASES = [
      {"node_budget": DEFAULT_NODE_BUDGET}, True),
     (enumeration.CatalogMember, (C5, REPORT), ("graph", "minimality"), {}, False),
     (enumeration.MinimalCatalog, ((K2, K2), BOUNDS, [MEMBER], True), ("pair", "bounds", "members", "complete"), {}, False),
-    (enumeration.DensityAuditEntry, (C5, Fraction(1), False), ("graph", "rho_value", "passed"), {}, False),
-    (enumeration.DensityAuditReport, (Fraction(1), [AUDIT_ENTRY]), ("threshold", "entries"), {}, False),
+    (enumeration.DensityAuditReport, (Fraction(1), [Fraction(2)]), ("threshold", "rho_values"), {}, False),
     (graphs.Graph, (3, (6, 5, 3)), ("n", "adj"), {}, True),
     (randomgraphs.ExperimentConfig, (K3, K3, (6, 8), (Fraction(1, 2), 1), 5, 1, 1000),
      ("G", "H", "n_values", "c_values", "samples", "seed", "node_budget"), {"node_budget": DEFAULT_NODE_BUDGET}, True),
-    (randomgraphs.CellResult, (8, 0.5, 0.25, 10, 3, 6, 1, 0.01, (True,) * 3 + (False,) * 6 + (None,)),
-     ("n", "c", "p", "samples", "hits", "misses", "unknowns", "elapsed", "outcomes"), {}, False),
+    (randomgraphs.CellResult, (8, 0.5, 0.25, (True,) * 3 + (False,) * 6 + (None,)),
+     ("n", "c", "p", "outcomes"), {}, False),
 ]
 
 # a second argument list per type, unequal to the first in one field
 OTHER = {
     arrowing.EdgeColoring: (K3, {(0, 1): BLUE}),
     arrowing.ArrowVerdict: (False, COLORING, 8, 0.5),
-    arrowing.MinimalityReport: (True, {(0, 1): VERDICT}, None),
+    arrowing.MinimalityReport: (False, {(0, 1): VERDICT}),
     canon.CanonicalForm: (b"\x03", (0, 2, 1), ((1, 0, 2),)),
     classify.StarForestShape: ((3, 2), 2),
     classify.TrailEntry: ("R2", "a citation", "a reason"),
@@ -72,18 +70,17 @@ OTHER = {
     enumeration.SearchBounds: (5, 7, 1000),
     enumeration.CatalogMember: (K3, REPORT),
     enumeration.MinimalCatalog: ((K2, K2), BOUNDS, [MEMBER], False),
-    enumeration.DensityAuditEntry: (C5, Fraction(1), True),
-    enumeration.DensityAuditReport: (Fraction(2), [AUDIT_ENTRY]),
+    enumeration.DensityAuditReport: (Fraction(2), [Fraction(2)]),
     graphs.Graph: (3, (2, 5, 2)),
     randomgraphs.ExperimentConfig: (K3, K3, (6, 8), (Fraction(1, 2), 1), 5, 2, 1000),
-    randomgraphs.CellResult: (8, 0.5, 0.25, 10, 3, 6, 1, 0.02, (True,) * 3 + (False,) * 6 + (None,)),
+    randomgraphs.CellResult: (8, 0.5, 0.25, (True,) * 4 + (False,) * 5 + (None,)),
 }
 
 IDS = [case[0].__name__ for case in CASES]
 
 
 def test_every_record_type_is_covered():
-    assert len(CASES) == 18 and len(set(IDS)) == 18
+    assert len(CASES) == 17 and len(set(IDS)) == 17
     assert set(OTHER) == {case[0] for case in CASES}
     assert sum(case[4] for case in CASES) == 10
 
@@ -109,7 +106,7 @@ def test_constructor_forms(cls, args, names, defaults, frozen):
 def test_constructor_calls_made_by_callers():
     assert enumeration.MinimalCatalog((K2, K2), BOUNDS, [MEMBER], complete=True).complete is True
     assert enumeration.CatalogMember(C5, REPORT).graph == C5
-    empty = arrowing.MinimalityReport(None, {}, None)
+    empty = arrowing.MinimalityReport(None, {})
     assert (empty.is_ramsey, empty.edge_verdicts, empty.is_minimal, empty.per_edge) == (None, {}, None, {})
     assert arrowing.EdgeColoring(K3) == arrowing.EdgeColoring(K3, {}) == arrowing.EdgeColoring(K3, None)
 
@@ -140,6 +137,8 @@ def test_constructor_calls_made_by_callers():
         lambda: randomgraphs.ExperimentConfig(K3, K3, (8.0,), (1,), 5, 1),
         lambda: randomgraphs.ExperimentConfig(K3, K3, (6,), (1,), 2.5, 1),
         lambda: randomgraphs.ExperimentConfig(graphs.build_from_text("P4"), K3, (6,), (1,), 5, 1),
+        lambda: enumeration.SearchBounds(4, 3.0),
+        lambda: enumeration.SearchBounds("4", 3),
     ],
 )
 def test_constructor_checks_raise_value_error(make):
